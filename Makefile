@@ -3,9 +3,9 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.*')
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-json fuzz lint cover repl-smoke txn-smoke
+.PHONY: ci fmt vet build test bench bench-smoke bench-test fuzz lint cover repl-smoke txn-smoke
 
-ci: fmt vet build lint test cover bench-smoke fuzz repl-smoke txn-smoke
+ci: fmt vet build lint test cover bench-smoke bench-test fuzz repl-smoke txn-smoke
 
 fmt:
 	@out=$$(gofmt -l $(GOFILES)); \
@@ -77,6 +77,12 @@ bench:
 bench-smoke:
 	go test -run xxx -bench . -benchtime 1x .
 
+# The end-to-end interaction benchmark (bench/README.md) is its own module,
+# so the root `./...` never reaches it: vet it and run its smoke and unit
+# tests here. The measured run is `bash bench/run.sh`.
+bench-test:
+	cd bench && go vet . && go test -race -count=1 .
+
 # Replication fault smoke (DESIGN.md §13): the ship stream under injected
 # partitions/corruption, and the stalled-replica failover in the topology
 # client. `make test` runs the full matrices; this re-runs just the fault
@@ -85,26 +91,10 @@ repl-smoke:
 	go test -race -count=1 -run 'TestShipStreamFaultMatrix|TestHungPrimaryCannotWedgeApply' ./internal/repl
 	go test -race -count=1 -run 'TestTopologyStalledReplicaPoisonedAndEvicted' ./internal/client
 
-# Group-commit smoke (DESIGN.md §15): the concurrent-committer
-# linearizability oracle + crash matrix and the transaction test package
-# named explicitly in a CI log, then the PR-10 series on reduced sizes
-# with its gates enforced — throughput monotonic in writer count 1/2/4/8
-# and >=3x over the fsync-per-insert baseline at 8 writers (gisbench
-# exits nonzero otherwise). The committed artifact is regenerated at
-# full size by `make bench-json`.
+# Group-commit flake sweep (DESIGN.md §15): the concurrent-committer
+# linearizability oracle + crash matrix, the transaction tests and the
+# replica consistency oracles, each run five times under -race so an
+# interleaving-dependent failure cannot hide behind one lucky run.
 txn-smoke:
-	go test -race -count=1 -run 'TestWALGroupCommit|TestTxn' ./internal/storage ./internal/geodb
-	go test -race -count=1 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl
-	@mkdir -p /tmp/gis-bench
-	go run ./cmd/gisbench -txn-json /tmp/gis-bench/BENCH_PR10.json -quick
-
-# Machine-readable perf artifacts: the PR-4 concurrent hot paths (decision
-# cache, pipelined client, sharded buffer pool; DESIGN.md §10), the PR-5
-# durability series (WAL off vs synced vs group-committed; DESIGN.md §11),
-# the PR-7 replication read scale-out series (DESIGN.md §13), and the PR-10
-# group-commit transaction series (DESIGN.md §15).
-bench-json:
-	go run ./cmd/gisbench -json BENCH_PR4.json
-	go run ./cmd/gisbench -wal-json BENCH_PR5.json
-	go run ./cmd/gisbench -repl-json BENCH_PR7.json
-	go run ./cmd/gisbench -txn-json BENCH_PR10.json
+	go test -race -count=5 -run 'TestWALGroupCommit|TestTxn' ./internal/storage ./internal/geodb
+	go test -race -count=5 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -541,7 +540,7 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 	b.Run("dispatch-spans", func(b *testing.B) {
 		// The enabled path, for contrast: a 4k-span ring attached.
 		engine := ruleEngine(b, 64, true)
-		engine.AttachSpans(obs.NewSpanRecorder(4096))
+		engine.Tracer().AttachSink(obs.NewSpanRecorder(4096))
 		probe := event.Event{
 			Kind: event.GetClass, Schema: workload.SchemaName, Class: "Pole",
 			Ctx: event.Context{User: "user0000", Category: "planners", Application: "pole_manager"},
@@ -557,7 +556,7 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 	})
 }
 
-// --- PR 4: decision cache, pipelined client, sharded pool -------------------
+// --- PR 4: decision cache, pipelined client ----------------------------------
 
 // benchDispatchFigure6 measures one dispatch of the Figure 6 schema
 // decision against an engine that also carries a population of
@@ -602,38 +601,9 @@ func BenchmarkClientPipelined(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolSharded contrasts the single-mutex buffer pool with the
-// striped one under concurrent Fetch/Unpin traffic (more pages than frames,
-// so the replacement policy stays busy).
-func BenchmarkPoolSharded(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			p, err := experiments.NewPoolBench(256, 512, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { p.Close() })
-			var seq atomic.Int64
-			b.SetParallelism(4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(seq.Add(1)) * 131
-				for pb.Next() {
-					if err := p.Step(i); err != nil {
-						b.Error(err)
-						return
-					}
-					i += 13
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkFigure4DefaultWindowsParallel is Figure 4 with concurrent
 // sessions: the engine's RLock'd candidate scan, the decision cache and the
-// sharded pool all see simultaneous readers.
+// buffer pool all see simultaneous readers.
 func BenchmarkFigure4DefaultWindowsParallel(b *testing.B) {
 	f := experiments.MustFixture(16, 1, false)
 	defer f.Close()
@@ -660,8 +630,7 @@ func BenchmarkFigure4DefaultWindowsParallel(b *testing.B) {
 }
 
 // benchWALInsert measures acknowledged inserts under one durability
-// configuration (the B-series for PR 5; `gisbench -wal-json` writes the
-// same workloads as BENCH_PR5.json). The grouped variant runs the insert
+// configuration (the B-series for PR 5). The grouped variant runs the insert
 // loop from parallel goroutines so concurrent commits coalesce onto shared
 // fsyncs (DESIGN.md §15).
 func benchWALInsert(b *testing.B, name string, disable, grouped bool) {

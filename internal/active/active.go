@@ -550,7 +550,8 @@ type Engine struct {
 	// F1 renders these). It is the legacy string hook, kept as a
 	// compatibility shim over the structured span layer: the engine emits
 	// the same decisions as spans through Tracer(), and additionally
-	// formats them into lines when Trace is set. Prefer AttachSpans.
+	// formats them into lines when Trace is set. Prefer
+	// Tracer().AttachSink.
 	Trace func(string)
 }
 
@@ -558,10 +559,6 @@ type Engine struct {
 // capture structured dispatch/fire/select spans. With no recorder attached
 // the span path costs one atomic load per dispatch and allocates nothing.
 func (en *Engine) Tracer() *obs.Tracer { return &en.tracer }
-
-// AttachSpans directs the engine's structured trace spans into rec (nil
-// detaches). It replaces the string Trace hook for programmatic consumers.
-func (en *Engine) AttachSpans(rec *obs.SpanRecorder) { en.tracer.Attach(rec) }
 
 func indexKey(r *Rule) kindUser {
 	return kindUser{kind: r.On, user: r.Context.User}

@@ -408,7 +408,7 @@ func TestTrace(t *testing.T) {
 func TestDispatchSpans(t *testing.T) {
 	en := NewEngine()
 	rec := obs.NewSpanRecorder(16)
-	en.AttachSpans(rec)
+	en.Tracer().AttachSink(rec)
 	en.AddRule(custRule("r", event.Context{}, spec.DisplayNull))
 	en.AddRule(Rule{
 		Name: "log", Family: FamilyReaction, On: event.GetSchema,
@@ -443,7 +443,7 @@ func TestDispatchSpans(t *testing.T) {
 		t.Errorf("dispatch attrs = %v", attrs)
 	}
 	// Detaching disables the span path again.
-	en.AttachSpans(nil)
+	en.Tracer().AttachSink(nil)
 	if err := en.HandleEvent(e); err != nil {
 		t.Fatal(err)
 	}

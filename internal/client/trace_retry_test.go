@@ -38,7 +38,7 @@ func TestRetryKeepsOneTraceNewAttemptNewSpan(t *testing.T) {
 	cli := New(Options{Dial: dial, Retry: testRetry, Seed: 7})
 	defer cli.Close()
 	rec := obs.NewSpanRecorder(32)
-	cli.Tracer().Attach(rec)
+	cli.Tracer().AttachSink(rec)
 
 	if _, _, err := cli.GetSchema(event.Context{User: "maria"}, "phone_net"); err != nil {
 		t.Fatalf("drop not recovered: %v", err)
@@ -110,7 +110,7 @@ func TestRetryRestampsWireContext(t *testing.T) {
 	cli := New(Options{Dial: dial, Timeout: time.Second, Retry: testRetry, Seed: 5})
 	defer cli.Close()
 	rec := obs.NewSpanRecorder(32)
-	cli.Tracer().Attach(rec)
+	cli.Tracer().AttachSink(rec)
 
 	if _, _, err := cli.GetSchema(event.Context{}, "phone_net"); err != nil {
 		t.Fatalf("drop not recovered: %v", err)

@@ -47,10 +47,6 @@ type Config struct {
 	// CheckpointEvery bounds WAL replay: checkpoint after this many
 	// commits. 0 = default (1024), negative = no automatic checkpoints.
 	CheckpointEvery int
-	// WALSyncEvery is deprecated and ignored: group commit (DESIGN.md §15)
-	// replaced fsync batching — every acknowledged mutation is durable and
-	// concurrent committers share fsyncs instead of skipping them.
-	WALSyncEvery int
 	// WALFile injects the log file, enabling the WAL even for an in-memory
 	// database — a replication primary needs a log to ship regardless of
 	// where its pages live.
@@ -89,7 +85,6 @@ func Open(cfg Config) (*System, error) {
 		Policy:          cfg.Policy,
 		DisableWAL:      cfg.DisableWAL,
 		CheckpointEvery: cfg.CheckpointEvery,
-		SyncEvery:       cfg.WALSyncEvery,
 		WALFile:         cfg.WALFile,
 	})
 	if err != nil {

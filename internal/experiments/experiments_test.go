@@ -45,48 +45,3 @@ func TestLookup(t *testing.T) {
 		t.Fatal("Lookup invented an experiment")
 	}
 }
-
-// TestRunWALPerfQuick smokes the PR-5 durability series: all three
-// configurations run, produce positive timings, and the ratios derive.
-func TestRunWALPerfQuick(t *testing.T) {
-	rep, err := RunWALPerf(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("durability series produced %d results, want 3", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 {
-			t.Fatalf("%s measured %v ns/op", r.Name, r.NsPerOp)
-		}
-	}
-	for _, k := range []string{"wal_synced_cost", "wal_grouped8_cost", "wal_group_commit_speedup"} {
-		if rep.Ratios[k] <= 0 {
-			t.Fatalf("ratio %s missing or non-positive: %v", k, rep.Ratios[k])
-		}
-	}
-}
-
-// TestRunTxnPerfQuick smokes the PR-10 group-commit series: the baseline
-// plus all four writer counts run, and the acceptance gates (monotonic
-// scaling, >=3x over fsync-per-insert) hold — RunTxnPerf errors otherwise.
-func TestRunTxnPerfQuick(t *testing.T) {
-	rep, err := RunTxnPerf(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 5 {
-		t.Fatalf("group-commit series produced %d results, want 5", len(rep.Results))
-	}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 {
-			t.Fatalf("%s measured %v ns/op", r.Name, r.NsPerOp)
-		}
-	}
-	for _, k := range []string{"txn_scaleout_2w", "txn_scaleout_4w", "txn_scaleout_8w", "txn_group_commit_speedup"} {
-		if rep.Ratios[k] <= 0 {
-			t.Fatalf("ratio %s missing or non-positive: %v", k, rep.Ratios[k])
-		}
-	}
-}

@@ -1,17 +1,11 @@
-// Perf harnesses for the PR-4 hot paths (decision cache, pipelined client,
-// sharded buffer pool). The constructions live here so the testing.B series
-// in bench_test.go and the machine-readable `gisbench -json` artifact
-// measure exactly the same workloads.
+// Constructions for the decision-cache and pipelined-client testing.B series
+// in bench_test.go. The end-to-end interaction benchmark lives in bench/.
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"sync"
-	"sync/atomic"
-	"testing"
 	"time"
 
 	"repro/internal/active"
@@ -20,7 +14,6 @@ import (
 	"repro/internal/geodb"
 	"repro/internal/server"
 	"repro/internal/spec"
-	"repro/internal/storage"
 	"repro/internal/ui"
 	"repro/internal/workload"
 )
@@ -171,216 +164,4 @@ func (p *PipelineBench) Close() {
 	_ = p.Cli.Close()
 	_ = p.srv.Close()
 	_ = p.f.Close()
-}
-
-// PoolBench drives Fetch/Unpin cycles over a sharded buffer pool with more
-// pages than frames, so the replacement policy stays busy.
-type PoolBench struct {
-	Pool *storage.BufferPool
-	IDs  []storage.PageID
-}
-
-func NewPoolBench(capacity, pages, shards int) (*PoolBench, error) {
-	pager := storage.NewMemPager()
-	ids := make([]storage.PageID, pages)
-	for i := range ids {
-		id, err := pager.Allocate()
-		if err != nil {
-			return nil, err
-		}
-		var p storage.Page
-		p.InitPage()
-		if err := pager.WritePage(id, &p); err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	return &PoolBench{
-		Pool: storage.NewShardedBufferPool(pager, capacity, storage.PolicyLRU, shards),
-		IDs:  ids,
-	}, nil
-}
-
-// Step fetches and unpins one page; i selects which.
-func (p *PoolBench) Step(i int) error {
-	id := p.IDs[i%len(p.IDs)]
-	if _, err := p.Pool.Fetch(id); err != nil {
-		return err
-	}
-	return p.Pool.Unpin(id, false)
-}
-
-func (p *PoolBench) Close() error { return p.Pool.Close() }
-
-// PerfResult is one benchmark line of the machine-readable artifact.
-type PerfResult struct {
-	Name        string             `json:"name"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// PerfReport is what `gisbench -json` writes: the raw series plus the
-// derived ratios the PR-4 acceptance criteria are stated in.
-type PerfReport struct {
-	Results []PerfResult       `json:"results"`
-	Ratios  map[string]float64 `json:"ratios"`
-}
-
-func perfResult(name string, r testing.BenchmarkResult, extra map[string]float64) PerfResult {
-	ns := 0.0
-	if r.N > 0 {
-		ns = float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	return PerfResult{
-		Name:        name,
-		NsPerOp:     ns,
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Extra:       extra,
-	}
-}
-
-// RunPerf measures the PR-4 hot paths with testing.Benchmark and returns
-// the report. quick shrinks the data sizes and simulated latency for CI.
-func RunPerf(quick bool) (*PerfReport, error) {
-	rep := &PerfReport{Ratios: map[string]float64{}}
-
-	// Decision cache: identical engines and probe, cache off vs on.
-	var dispatchNs = map[bool]float64{}
-	for _, cached := range []bool{false, true} {
-		d, err := NewDispatchBench(cached)
-		if err != nil {
-			return nil, err
-		}
-		var stepErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := d.Step(); err != nil {
-					stepErr = err
-					return
-				}
-			}
-		})
-		name := "dispatch_uncached"
-		var extra map[string]float64
-		if cached {
-			name = "dispatch_cached"
-			cs := d.Engine.CacheStats()
-			extra = map[string]float64{
-				"hit_ratio":    cs.HitRatio(),
-				"cached_plans": float64(d.Engine.CachedPlans()),
-			}
-		}
-		_ = d.Close()
-		if stepErr != nil {
-			return nil, stepErr
-		}
-		res := perfResult(name, r, extra)
-		dispatchNs[cached] = res.NsPerOp
-		rep.Results = append(rep.Results, res)
-	}
-	if dispatchNs[true] > 0 {
-		rep.Ratios["dispatch_cached_speedup"] = dispatchNs[false] / dispatchNs[true]
-	}
-
-	// Pipelined client: requests per op are identical; only the number of
-	// concurrent callers sharing the one connection changes.
-	delay := 200 * time.Microsecond
-	if quick {
-		delay = 100 * time.Microsecond
-	}
-	pb, err := NewPipelineBench(delay)
-	if err != nil {
-		return nil, err
-	}
-	var pipeNs = map[int]float64{}
-	for _, depth := range []int{1, 4, 16} {
-		depth := depth
-		var doErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			if err := pb.Do(depth, b.N); err != nil {
-				doErr = err
-			}
-		})
-		if doErr != nil {
-			pb.Close()
-			return nil, doErr
-		}
-		res := perfResult(fmt.Sprintf("client_pipelined_depth%d", depth), r, nil)
-		pipeNs[depth] = res.NsPerOp
-		rep.Results = append(rep.Results, res)
-	}
-	pb.Close()
-	if pipeNs[16] > 0 {
-		rep.Ratios["pipeline_depth16_speedup"] = pipeNs[1] / pipeNs[16]
-	}
-
-	// Sharded pool: concurrent Fetch/Unpin, one shard vs eight.
-	capacity, pages := 256, 512
-	if quick {
-		capacity, pages = 64, 128
-	}
-	var poolNs = map[int]float64{}
-	for _, shards := range []int{1, 8} {
-		plb, err := NewPoolBench(capacity, pages, shards)
-		if err != nil {
-			return nil, err
-		}
-		var mu sync.Mutex
-		var stepErr error
-		var seq atomic.Int64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(4)
-			b.RunParallel(func(tb *testing.PB) {
-				i := int(seq.Add(1)) * 131
-				for tb.Next() {
-					if err := plb.Step(i); err != nil {
-						mu.Lock()
-						if stepErr == nil {
-							stepErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					i += 13
-				}
-			})
-		})
-		closeErr := plb.Close()
-		if stepErr != nil {
-			return nil, stepErr
-		}
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		res := perfResult(fmt.Sprintf("pool_sharded_shards%d", shards), r, nil)
-		poolNs[shards] = res.NsPerOp
-		rep.Results = append(rep.Results, res)
-	}
-	if poolNs[8] > 0 {
-		rep.Ratios["pool_sharded_speedup"] = poolNs[1] / poolNs[8]
-	}
-	return rep, nil
-}
-
-// WritePerfJSON runs the perf series and writes the report to path.
-func WritePerfJSON(path string, quick bool) (*PerfReport, error) {
-	rep, err := RunPerf(quick)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	return rep, nil
 }

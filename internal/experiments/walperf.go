@@ -1,25 +1,12 @@
-// Perf harness for the PR-5 durability work, updated for PR-10's group
-// commit: what does the write-ahead log cost, and what does coalescing its
-// fsyncs buy back? Three configurations of the same file-backed insert
-// workload — WAL off (the pre-WAL baseline, durable only at Close), WAL
-// with one sequential writer (every acknowledged insert pays a full fsync),
-// and WAL with 8 concurrent writers whose commits share fsyncs through the
-// group-commit leader (every ack still durable; see DESIGN.md §15). The
-// old `SyncEvery=32` variant is gone with the option it measured: deferring
-// fsyncs traded acknowledged durability for speed, group commit doesn't.
-// The testing.B series in bench_test.go and `gisbench -wal-json`
-// (BENCH_PR5.json) run exactly these constructions.
+// WALBench is the file-backed insert workload behind the durability
+// testing.B series in bench_test.go: WAL off, one synced writer, or many
+// writers whose commits share fsyncs through group commit (DESIGN.md §15).
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
-	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/event"
@@ -77,120 +64,3 @@ func (wb *WALBench) Step() error {
 
 // Close checkpoints and closes the database.
 func (wb *WALBench) Close() error { return wb.DB.Close() }
-
-// walVariant names one durability configuration of the series.
-type walVariant struct {
-	Name    string
-	Disable bool
-	Writers int
-}
-
-func walVariants() []walVariant {
-	return []walVariant{
-		{"insert_wal_off", true, 1},       // pre-WAL baseline: durable at Close only
-		{"insert_wal_synced", false, 1},   // one writer: fsync per acknowledged insert
-		{"insert_wal_grouped8", false, 8}, // 8 writers: concurrent commits share fsyncs
-	}
-}
-
-// runWALSteps drives n Steps split across the variant's writers and
-// returns the wall-clock result (N = acknowledged inserts).
-func runWALSteps(wb *WALBench, writers, n int) (testing.BenchmarkResult, error) {
-	if writers <= 1 {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if err := wb.Step(); err != nil {
-				return testing.BenchmarkResult{}, err
-			}
-		}
-		return testing.BenchmarkResult{N: n, T: time.Since(start)}, nil
-	}
-	errs := make([]error, writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < writers; w++ {
-		share := n / writers
-		if w < n%writers {
-			share++
-		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			for i := 0; i < share; i++ {
-				if err := wb.Step(); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w, share)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-	}
-	return testing.BenchmarkResult{N: n, T: elapsed}, nil
-}
-
-// RunWALPerf measures the durability series. quick caps each measurement at
-// a fixed small iteration count for CI; the full run sizes the pass to get
-// a stable per-op figure without testing.Benchmark's ramp-up hammering the
-// disk's fsync budget.
-func RunWALPerf(quick bool) (*PerfReport, error) {
-	rep := &PerfReport{Ratios: map[string]float64{}}
-	dir, err := os.MkdirTemp("", "walperf")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	n := 2000
-	if quick {
-		n = 150
-	}
-	ns := map[string]float64{}
-	for _, v := range walVariants() {
-		wb, err := NewWALBench(dir, v.Name, v.Disable)
-		if err != nil {
-			return nil, err
-		}
-		r, stepErr := runWALSteps(wb, v.Writers, n)
-		closeErr := wb.Close()
-		if stepErr != nil {
-			return nil, stepErr
-		}
-		if closeErr != nil {
-			return nil, closeErr
-		}
-		res := perfResult(v.Name, r, map[string]float64{"writers": float64(v.Writers)})
-		ns[v.Name] = res.NsPerOp
-		rep.Results = append(rep.Results, res)
-	}
-	if ns["insert_wal_off"] > 0 {
-		rep.Ratios["wal_synced_cost"] = ns["insert_wal_synced"] / ns["insert_wal_off"]
-		rep.Ratios["wal_grouped8_cost"] = ns["insert_wal_grouped8"] / ns["insert_wal_off"]
-	}
-	if ns["insert_wal_grouped8"] > 0 {
-		rep.Ratios["wal_group_commit_speedup"] = ns["insert_wal_synced"] / ns["insert_wal_grouped8"]
-	}
-	return rep, nil
-}
-
-// WriteWALPerfJSON runs the durability series and writes BENCH_PR5.json.
-func WriteWALPerfJSON(path string, quick bool) (*PerfReport, error) {
-	rep, err := RunWALPerf(quick)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}

@@ -37,10 +37,6 @@ type Options struct {
 	Name string
 	// PoolSize is the buffer pool capacity in pages; 0 means 256.
 	PoolSize int
-	// PoolShards stripes the buffer pool across this many locks (see
-	// storage.NewShardedBufferPool); 0 or 1 keeps the classic single-shard
-	// pool with one global capacity.
-	PoolShards int
 	// Policy selects the buffer replacement policy.
 	Policy storage.ReplacementPolicy
 	// Path, when non-empty, stores pages in a file; otherwise in memory.
@@ -52,10 +48,6 @@ type Options struct {
 	DisableWAL bool
 	// WALPath overrides where the log lives; default Path+".wal".
 	WALPath string
-	// SyncEvery is deprecated and ignored: group commit (DESIGN.md §15)
-	// replaced fsync batching. Every acknowledged mutation is durable;
-	// concurrent committers share fsyncs instead of skipping them.
-	SyncEvery int
 	// CheckpointEvery checkpoints (flush dirty pages, sync the data file,
 	// truncate the log) after this many commits, bounding both the log size
 	// and replay work at the next Open. 0 means 1024; negative disables
@@ -216,7 +208,7 @@ func Open(opts Options) (*DB, error) {
 			logFile = lf
 		}
 		if logFile != nil {
-			w, err := storage.OpenWAL(logFile, storage.WALOptions{SyncEvery: opts.SyncEvery})
+			w, err := storage.OpenWAL(logFile, storage.WALOptions{})
 			if err != nil {
 				_ = pager.Close()
 				return nil, err
@@ -239,11 +231,7 @@ func Open(opts Options) (*DB, error) {
 			wal = w
 		}
 	}
-	shards := opts.PoolShards
-	if shards < 1 {
-		shards = 1
-	}
-	pool := storage.NewShardedBufferPool(pager, poolSize, opts.Policy, shards)
+	pool := storage.NewBufferPool(pager, poolSize, opts.Policy)
 	if wal != nil {
 		pool.AttachWAL(wal)
 	}

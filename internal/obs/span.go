@@ -138,17 +138,10 @@ type Tracer struct {
 // NewTracer returns a disabled tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Attach directs finished spans into r; nil detaches and disables tracing.
-func (t *Tracer) Attach(r *SpanRecorder) {
-	if r == nil {
-		t.AttachSink(nil)
-		return
-	}
-	t.AttachSink(r)
-}
-
-// AttachSink directs finished spans into sink (e.g. a TailSampler shared by
-// several tracers, joining their spans into one trace tree); nil detaches.
+// AttachSink directs finished spans into sink (a SpanRecorder, or a
+// TailSampler shared by several tracers, joining their spans into one trace
+// tree). An untyped nil detaches and disables tracing; a typed nil
+// *SpanRecorder is a non-nil sink and must not be passed.
 func (t *Tracer) AttachSink(sink SpanSink) {
 	if sink == nil {
 		t.sink.Store(nil)

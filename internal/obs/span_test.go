@@ -5,7 +5,7 @@ import "testing"
 func TestSpanParentChildLinkage(t *testing.T) {
 	tr := NewTracer()
 	rec := NewSpanRecorder(16)
-	tr.Attach(rec)
+	tr.AttachSink(rec)
 
 	root := tr.Start("dispatch")
 	root.Set("event", "Get_Class")
@@ -61,22 +61,22 @@ func TestDisabledTracer(t *testing.T) {
 func TestTracerDetachDropsInFlightSpans(t *testing.T) {
 	tr := NewTracer()
 	rec := NewSpanRecorder(4)
-	tr.Attach(rec)
+	tr.AttachSink(rec)
 	sp := tr.Start("op")
-	tr.Attach(nil)
+	tr.AttachSink(nil)
 	sp.Finish() // sink detached mid-span: dropped, not crashed
 	if got := rec.Total(); got != 0 {
 		t.Errorf("recorded %d spans after detach, want 0", got)
 	}
 	if tr.Enabled() {
-		t.Error("tracer should be disabled after Attach(nil)")
+		t.Error("tracer should be disabled after AttachSink(nil)")
 	}
 }
 
 func TestSpanRecorderRing(t *testing.T) {
 	tr := NewTracer()
 	rec := NewSpanRecorder(3)
-	tr.Attach(rec)
+	tr.AttachSink(rec)
 	names := []string{"a", "b", "c", "d", "e"}
 	for _, n := range names {
 		tr.Start(n).Finish()

@@ -13,8 +13,12 @@ import (
 // Group-commit tests: concurrent committers must coalesce onto shared
 // fsyncs without ever weakening the per-commit durability contract, and a
 // crash mid-schedule must preserve exactly the acknowledged history. The
-// workloads are seeded so a failure replays, but the oracles hold for any
-// interleaving — the scheduler is free, the properties are not.
+// seeds only pick sleep jitter; the Go scheduler picks the interleaving, so
+// a seed does not replay a schedule. The oracles hold for any interleaving.
+//
+// Writers honour EndGroup's precondition the way geodb's write lock does:
+// one shared mutex serializes each AppendPage+EndGroup pair, and Commit runs
+// outside it so concurrent commits can still share an fsync.
 
 // slowLogFile wraps a LogFile, counting Sync calls and delaying each one so
 // concurrent committers pile up behind the in-flight fsync round.
@@ -48,6 +52,17 @@ func gcPage(w, v int) *Page {
 
 func gcPageID(w int) PageID { return PageID(100 + w) }
 
+// appendGroup appends writer wr's version v as one group under mu, the lock
+// that keeps concurrent writers' groups from interleaving in the log.
+func appendGroup(mu *sync.Mutex, w *WAL, wr, v int) (LSN, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if _, err := w.AppendPage(gcPageID(wr), gcPage(wr, v)); err != nil {
+		return 0, err
+	}
+	return w.EndGroup()
+}
+
 // TestWALGroupCommitCoalesces: with many committers contending on a slow
 // log device, the leader/follower handoff must amortize fsyncs — strictly
 // fewer syncs than commits — while every Commit still returns only after
@@ -63,17 +78,14 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 	grouped0 := mWALGroupCommits.Value()
 
 	var wg sync.WaitGroup
+	var groupMu sync.Mutex
 	errs := make([]error, writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for v := 0; v < rounds; v++ {
-				if _, err := w.AppendPage(gcPageID(i), gcPage(i, v)); err != nil {
-					errs[i] = err
-					return
-				}
-				end, err := w.EndGroup()
+				end, err := appendGroup(&groupMu, w, i, v)
 				if err != nil {
 					errs[i] = err
 					return
@@ -118,9 +130,9 @@ type gcAcked struct {
 }
 
 // runGroupCommitSchedule drives `writers` concurrent committers over a
-// crash-injected log with seeded per-writer jitter, until each finishes
-// `rounds` commits or the injected crash kills the log. It returns each
-// writer's history (acked = -1 when nothing was acknowledged).
+// crash-injected log with per-writer sleep jitter drawn from seed, until
+// each finishes `rounds` commits or the injected crash kills the log. It
+// returns each writer's history (acked = -1 when nothing was acknowledged).
 func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, seed int64) []gcAcked {
 	t.Helper()
 	w, err := OpenWAL(logf, WALOptions{})
@@ -129,6 +141,7 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 	}
 	hist := make([]gcAcked, writers)
 	var wg sync.WaitGroup
+	var groupMu sync.Mutex
 	for i := 0; i < writers; i++ {
 		hist[i] = gcAcked{acked: -1, attempted: -1}
 		wg.Add(1)
@@ -138,10 +151,7 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 			for v := 0; v < rounds; v++ {
 				time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 				hist[i].attempted = v
-				if _, err := w.AppendPage(gcPageID(i), gcPage(i, v)); err != nil {
-					return
-				}
-				if _, err := w.EndGroup(); err != nil {
+				if _, err := appendGroup(&groupMu, w, i, v); err != nil {
 					return
 				}
 				if err := w.Commit(); err != nil {
@@ -222,7 +232,7 @@ func verifyGroupCommitHistory(t *testing.T, label string, logf *MemLogFile, hist
 }
 
 // TestWALGroupCommitCrashOracle is the concurrent-committer crash matrix:
-// seeded schedules of contending committers are killed at points spread
+// jittered schedules of contending committers are killed at points spread
 // across the log's IO timeline (clean and torn), and recovery must surface
 // exactly a marker-terminated prefix covering every acknowledged commit.
 func TestWALGroupCommitCrashOracle(t *testing.T) {

@@ -127,23 +127,14 @@ func OpenLogFile(path string) (LogFile, error) {
 	return osLogFile{f}, nil
 }
 
-// WALOptions tunes a WAL.
-type WALOptions struct {
-	// SyncEvery is deprecated and ignored. It used to batch commit fsyncs
-	// (sync only every Nth commit), trading the durability of the last <N
-	// acknowledged commits for throughput — and it had a hole: an
-	// eviction-forced sync could reset the batch counter mid-group, letting
-	// Commit acknowledge a mutation whose tail records were never synced.
-	// Group commit replaces it: every acknowledged commit is durable, and
-	// concurrent committers share fsyncs instead of skipping them.
-	SyncEvery int
-}
+// WALOptions tunes a WAL. It has no fields: every acknowledged commit is
+// durable, and concurrent committers share fsyncs through group commit
+// rather than skipping them.
+type WALOptions struct{}
 
 // WAL is a redo write-ahead log over a LogFile. All methods are safe for
 // concurrent use.
 type WAL struct {
-	opts WALOptions
-
 	mu         sync.Mutex
 	syncCond   *sync.Cond // broadcast when synced advances or the leader slot frees
 	syncing    bool       // a leader's fsync is in flight (mu released around it)
@@ -204,8 +195,8 @@ func toRecord(r walRecord) Record {
 // not replay: callers that may hold acknowledged-but-unapplied mutations
 // must call Replay (and normally checkpoint) before appending. An empty
 // file starts at LSN 1.
-func OpenWAL(f LogFile, opts WALOptions) (*WAL, error) {
-	w := &WAL{opts: opts, f: f, nextLSN: 1}
+func OpenWAL(f LogFile, _ WALOptions) (*WAL, error) {
+	w := &WAL{f: f, nextLSN: 1}
 	w.syncCond = sync.NewCond(&w.mu)
 	size, err := f.Size()
 	if err != nil {

@@ -154,14 +154,13 @@ func TestWALCorruptMiddleStopsScan(t *testing.T) {
 	}
 }
 
-// TestWALCommitAlwaysDurable: SyncEvery is deprecated and ignored — every
-// Commit that returns has made the log durable through its last append, no
-// matter what batching the options ask for.
+// TestWALCommitAlwaysDurable: every Commit that returns has made the log
+// durable through its last append.
 func TestWALCommitAlwaysDurable(t *testing.T) {
 	lf := NewMemLogFile()
 	crash := &Crasher{} // count-only: every WriteAt/Sync/Truncate is a point
 	cf := NewCrashLogFile(lf, crash)
-	w, err := OpenWAL(cf, WALOptions{SyncEvery: 4})
+	w, err := OpenWAL(cf, WALOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -183,14 +182,14 @@ func TestWALCommitAlwaysDurable(t *testing.T) {
 	}
 }
 
-// TestWALCommitCoversGroupAfterEvictionSync is the regression test for the
-// SyncEvery durability hole: under batched sync, an eviction-forced SyncTo
-// mid-group reset the batch counter, so the Commit that closed the group
-// could acknowledge without its tail records — marker included — ever being
-// synced. The invariant now: acknowledged ⇒ the whole group is durable.
+// TestWALCommitCoversGroupAfterEvictionSync is the regression test for a
+// durability hole of the removed batched-sync option: an eviction-forced
+// SyncTo mid-group reset the batch counter, so the Commit that closed the
+// group could acknowledge without its tail records — marker included — ever
+// being synced. The invariant: acknowledged ⇒ the whole group is durable.
 func TestWALCommitCoversGroupAfterEvictionSync(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{SyncEvery: 100}) // old code: sync every 100th commit
+	w, err := OpenWAL(lf, WALOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
