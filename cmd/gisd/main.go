@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -57,11 +58,11 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "structured log threshold: debug, info, warn or error")
 	)
 	flag.Parse()
-	lvl, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fatal(err)
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+		fatal(fmt.Errorf("-log-level: %w", err))
 	}
-	logger := obs.NewLogger(os.Stderr, lvl).With("proc", "gisd")
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).With("proc", "gisd")
 
 	if *replicaOf != "" {
 		runReplica(logger, *addr, *replicaOf, *maxLag, *slowApply, *idle, *maxConns, *pipeline, *drain, *metrics)
@@ -200,13 +201,10 @@ func main() {
 	srv.DisableTxn = !*txn
 	srv.Log = logger
 	srv.SlowRequest = *slowReq
-	srv.Logf = func(format string, args ...any) {
-		logger.Warn(fmt.Sprintf(format, args...))
-	}
 	if *replListen != "" {
 		prim, err := repl.NewPrimary(sys.DB, repl.PrimaryOptions{
 			Tracer: sys.Tracer,
-			Logf:   func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+			Log:    logger,
 		})
 		if err != nil {
 			fatal(err)
@@ -251,12 +249,12 @@ func main() {
 // answered with an error directing clients to the primary; the workload,
 // directive and constraint flags do not apply — a replica's state is the
 // primary's log and nothing else.
-func runReplica(logger *obs.Logger, addr, primary string, maxLag int, slowApply, idle time.Duration, maxConns, pipeline int, drain time.Duration, metrics string) {
+func runReplica(logger *slog.Logger, addr, primary string, maxLag int, slowApply, idle time.Duration, maxConns, pipeline int, drain time.Duration, metrics string) {
 	rep := repl.NewReplica(repl.ReplicaOptions{
 		Addr:      primary,
 		MaxLag:    maxLag,
 		SlowApply: slowApply,
-		Logf:      func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) },
+		Log:       logger,
 	})
 	rep.Start()
 	defer rep.Close()
@@ -267,7 +265,6 @@ func runReplica(logger *obs.Logger, addr, primary string, maxLag int, slowApply,
 	srv.PipelineDepth = pipeline
 	srv.Log = logger
 	srv.ReplStatus = rep.Status
-	srv.Logf = func(format string, args ...any) { logger.Warn(fmt.Sprintf(format, args...)) }
 
 	fmt.Printf("gisd: replica of %s; serving reads on %s (max lag %d)\n", primary, addr, maxLag)
 	if metrics != "" {

@@ -11,6 +11,7 @@ import (
 
 	gisui "repro"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/uikit"
 	"repro/internal/workload"
@@ -19,8 +20,8 @@ import (
 func TestFigure1EventFlow(t *testing.T) {
 	f := experiments.MustFixture(4, 1, true)
 	defer f.Close()
-	var engineLines []string
-	f.Sys.Engine.Trace = func(s string) { engineLines = append(engineLines, s) }
+	rec := obs.NewSpanRecorder(64)
+	f.Sys.Engine.Tracer().AttachSink(rec)
 	s := f.Sys.NewSession(experiments.JulianoCtx)
 	if err := s.Connect(); err != nil {
 		t.Fatal(err)
@@ -29,10 +30,25 @@ func TestFigure1EventFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Figure 1 loop: a user event became DB events, the active
-	// mechanism selected rules, the builder produced windows.
-	joined := strings.Join(engineLines, "\n")
-	if !strings.Contains(joined, "select customization rule") {
-		t.Fatalf("active mechanism did not select rules:\n%s", joined)
+	// mechanism selected Figure 6's rules, the builder produced windows.
+	selected := map[string]string{}
+	for _, sp := range rec.Spans() {
+		if sp.Name != "active.dispatch" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		selected[attrs["event"]] = attrs["selected"]
+	}
+	for ev, rule := range map[string]string{
+		"Get_Schema": "cust0[u=juliano,a=pole_manager]schema:phone_net",
+		"Get_Class":  "cust0[u=juliano,a=pole_manager]class:Pole",
+	} {
+		if selected[ev] != rule {
+			t.Errorf("%s dispatch selected %q, want %q (spans: %+v)", ev, selected[ev], rule, rec.Spans())
+		}
 	}
 	if len(s.Windows()) != 2 {
 		t.Fatalf("windows = %v", s.Windows())

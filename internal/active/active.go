@@ -546,13 +546,6 @@ type Engine struct {
 	// DefaultMaxPending. When full, the oldest unclaimed entry is dropped
 	// (counted in gis_rule_pending_dropped_total).
 	MaxPending int
-	// Trace, when non-nil, receives a line per engine decision (experiment
-	// F1 renders these). It is the legacy string hook, kept as a
-	// compatibility shim over the structured span layer: the engine emits
-	// the same decisions as spans through Tracer(), and additionally
-	// formats them into lines when Trace is set. Prefer
-	// Tracer().AttachSink.
-	Trace func(string)
 }
 
 // Tracer exposes the engine's span tracer; attach an obs.SpanRecorder to
@@ -866,7 +859,7 @@ func (en *Engine) dispatch(e event.Event, depth int) error {
 			if sp != nil {
 				sp.Set("cache", "hit")
 			}
-			return en.run(e, p.best, p.others, p.suppressed, sp, depth, true)
+			return en.run(e, p.best, p.others, p.suppressed, sp, depth)
 		}
 	}
 
@@ -915,7 +908,7 @@ func (en *Engine) dispatch(e event.Event, depth int) error {
 				en.cacheMu.Unlock()
 			}
 		}
-		err := en.run(e, best, sc.others, suppressed, sp, depth, false)
+		err := en.run(e, best, sc.others, suppressed, sp, depth)
 		putScratch(sc)
 		return err
 	}
@@ -936,64 +929,45 @@ func putScratch(sc *scratch) {
 
 // run executes a dispatch decision — the matched constraint/reaction rules
 // in order, then the winning customization rule — and updates the activity
-// counters. It is shared by the cache hit and miss paths; fromCache only
-// affects tracing.
-func (en *Engine) run(e event.Event, best *Rule, others []*Rule, suppressed uint64, sp *obs.Span, depth int, fromCache bool) error {
+// counters. It is shared by the cache hit and miss paths.
+func (en *Engine) run(e event.Event, best *Rule, others []*Rule, suppressed uint64, sp *obs.Span, depth int) error {
 	en.stats.events.Add(1)
 	en.stats.suppressed.Add(suppressed)
 	mEvents.Inc()
 	mSuppressed.Add(suppressed)
-
-	// Constraint and reaction rules run for every match, constraints first
-	// (a veto must precede side effects); others is already in that order.
-	for _, r := range others {
-		en.trace("fire %s rule %q on %s", r.Family, r.Name, e.Kind)
-		en.countFired()
-		fsp := sp.Child("rule.fire")
-		fsp.Set("rule", r.Name).Set("family", r.Family.String())
-		sw := obs.Start(mFireSeconds)
-		err := r.React(e, nestedEmitter{en: en, depth: depth, rule: r})
-		sw.Stop()
-		fsp.Finish()
-		if err != nil {
-			return fmt.Errorf("rule %q: %w", r.Name, err)
-		}
+	if err := en.fireReactions(e, others, sp, depth); err != nil {
+		return err
 	}
-	if best != nil {
-		if fromCache {
-			en.trace("select customization rule %q (specificity %d, cached) for %s in %s",
-				best.Name, best.specScore, e.Kind, e.Ctx)
-		} else {
-			en.trace("select customization rule %q (specificity %d) for %s in %s",
-				best.Name, best.specScore, e.Kind, e.Ctx)
-		}
-		en.countFired()
-		mSpecificity.Observe(float64(best.specScore))
-		if sp != nil {
-			sp.Set("selected", best.Name).Setf("specificity", "%d", best.specScore)
-		}
-		sw := obs.Start(mFireSeconds)
-		cust, err := best.Customize(e)
-		sw.Stop()
-		if err != nil {
-			return fmt.Errorf("customization rule %q: %w", best.Name, err)
-		}
-		if cust.Origin == "" {
-			cust.Origin = best.Name
-		}
-		en.stats.selected.Add(1)
-		mSelected.Inc()
-		en.storePending(e, cust)
+	if best == nil {
+		return nil
 	}
-	return nil
+	mSpecificity.Observe(float64(best.specScore))
+	if sp != nil {
+		sp.Set("selected", best.Name).Setf("specificity", "%d", best.specScore)
+	}
+	return en.customize(e, best)
 }
 
 // runSelectAll is the fire-every-match ablation path.
 func (en *Engine) runSelectAll(e event.Event, sc *scratch, sp *obs.Span, depth int) error {
 	en.stats.events.Add(1)
 	mEvents.Inc()
-	for _, r := range sc.others {
-		en.trace("fire %s rule %q on %s", r.Family, r.Name, e.Kind)
+	if err := en.fireReactions(e, sc.others, sp, depth); err != nil {
+		return err
+	}
+	for i := len(sc.cust) - 1; i >= 0; i-- {
+		if err := en.customize(e, sc.cust[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fireReactions runs the matched constraint and reaction rules, each under
+// a rule.fire span. Constraints come first in others (a veto must precede
+// side effects), and the first error stops the rest.
+func (en *Engine) fireReactions(e event.Event, others []*Rule, sp *obs.Span, depth int) error {
+	for _, r := range others {
 		en.countFired()
 		fsp := sp.Child("rule.fire")
 		fsp.Set("rule", r.Name).Set("family", r.Family.String())
@@ -1005,35 +979,31 @@ func (en *Engine) runSelectAll(e event.Event, sc *scratch, sp *obs.Span, depth i
 			return fmt.Errorf("rule %q: %w", r.Name, err)
 		}
 	}
-	for i := len(sc.cust) - 1; i >= 0; i-- {
-		r := sc.cust[i]
-		en.trace("fire-all customization rule %q for %s", r.Name, e.Kind)
-		en.countFired()
-		sw := obs.Start(mFireSeconds)
-		cust, err := r.Customize(e)
-		sw.Stop()
-		if err != nil {
-			return fmt.Errorf("customization rule %q: %w", r.Name, err)
-		}
-		if cust.Origin == "" {
-			cust.Origin = r.Name
-		}
-		en.stats.selected.Add(1)
-		mSelected.Inc()
-		en.storePending(e, cust)
+	return nil
+}
+
+// customize fires one customization rule and leaves its result pending for
+// the UI dispatcher to claim.
+func (en *Engine) customize(e event.Event, r *Rule) error {
+	en.countFired()
+	sw := obs.Start(mFireSeconds)
+	cust, err := r.Customize(e)
+	sw.Stop()
+	if err != nil {
+		return fmt.Errorf("customization rule %q: %w", r.Name, err)
 	}
+	if cust.Origin == "" {
+		cust.Origin = r.Name
+	}
+	en.stats.selected.Add(1)
+	mSelected.Inc()
+	en.storePending(e, cust)
 	return nil
 }
 
 func (en *Engine) countFired() {
 	en.stats.fired.Add(1)
 	mFired.Inc()
-}
-
-func (en *Engine) trace(format string, args ...any) {
-	if en.Trace != nil {
-		en.Trace(fmt.Sprintf(format, args...))
-	}
 }
 
 // storePending records a selected customization for the UI dispatcher to

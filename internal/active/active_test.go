@@ -3,7 +3,6 @@ package active
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -387,21 +386,36 @@ func TestCustomizationActionError(t *testing.T) {
 	}
 }
 
+// TestTrace reads the engine's account of an interaction from its spans: the
+// selected customization rule, the fired reaction rule, the cache hit on repeat.
 func TestTrace(t *testing.T) {
 	en := NewEngine()
-	var lines []string
-	en.Trace = func(s string) { lines = append(lines, s) }
+	rec := obs.NewSpanRecorder(16)
+	en.Tracer().AttachSink(rec)
 	en.AddRule(custRule("r", event.Context{}, spec.DisplayNull))
 	en.AddRule(Rule{
 		Name: "log", Family: FamilyReaction, On: event.GetSchema,
 		React: func(event.Event, Emitter) error { return nil },
 	})
 	e := event.Event{Kind: event.GetSchema, Schema: "s"}
-	en.HandleEvent(e)
-	en.TakeCustomization(e)
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "select customization rule") || !strings.Contains(joined, "fire reaction rule") {
-		t.Fatalf("trace = %q", joined)
+	for i := 0; i < 2; i++ {
+		if err := en.HandleEvent(e); err != nil {
+			t.Fatal(err)
+		}
+		en.TakeCustomization(e)
+	}
+	var got []string
+	for _, sp := range rec.Spans() {
+		got = append(got, sp.Name+" "+fmt.Sprint(sp.Attrs))
+	}
+	want := []string{
+		"rule.fire [{rule log} {family reaction}]",
+		"active.dispatch [{event Get_Schema} {ctx <*>} {candidates 2} {cache miss} {selected r} {specificity 0}]",
+		"rule.fire [{rule log} {family reaction}]",
+		"active.dispatch [{event Get_Schema} {ctx <*>} {cache hit} {selected r} {specificity 0}]",
+	}
+	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+		t.Errorf("spans = %q\nwant    %q", got, want)
 	}
 }
 

@@ -49,13 +49,10 @@ type TopologyOptions struct {
 	// 500ms): each tick, every evicted replica gets one Connect probe and
 	// rejoins the read rotation if it answers.
 	HealthEvery time.Duration
-	// Logf receives evict/rejoin/failover lines; default drops them.
-	Logf func(format string, args ...any)
 }
 
 // topoEndpoint is one replica in the rotation.
 type topoEndpoint struct {
-	addr    string
 	c       *Client
 	healthy atomic.Bool
 }
@@ -88,9 +85,6 @@ func NewTopology(primary Endpoint, replicas []Endpoint, opts TopologyOptions) *T
 	if opts.HealthEvery <= 0 {
 		opts.HealthEvery = 500 * time.Millisecond
 	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
 	t := &Topology{opts: opts, done: make(chan struct{})}
 	po := opts.Client
 	po.Dial = primary.dial()
@@ -98,7 +92,7 @@ func NewTopology(primary Endpoint, replicas []Endpoint, opts TopologyOptions) *T
 	for _, ep := range replicas {
 		ro := opts.Client
 		ro.Dial = ep.dial()
-		te := &topoEndpoint{addr: ep.Addr, c: New(ro)}
+		te := &topoEndpoint{c: New(ro)}
 		te.healthy.Store(true)
 		t.replicas = append(t.replicas, te)
 	}
@@ -158,7 +152,6 @@ func (t *Topology) healthLoop() {
 			if err := ep.c.Connect(event.Context{}); err == nil {
 				ep.healthy.Store(true)
 				mRejoins.Inc()
-				t.opts.Logf("topology: replica %s rejoined the read rotation", ep.addr)
 			}
 		}
 	}
@@ -206,7 +199,6 @@ func (t *Topology) read(fn func(c *Client) error) error {
 		}
 		ep.healthy.Store(false)
 		mEvictions.Inc()
-		t.opts.Logf("topology: replica %s evicted from the read rotation: %v", ep.addr, err)
 	}
 	// Unreachable: the scan always hits the primary's slot. Kept for safety.
 	return fn(t.primary)

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"repro/internal/custlang"
 	"repro/internal/event"
+	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/spec"
 	"repro/internal/uikit"
@@ -16,7 +18,8 @@ import (
 // RunF1 reproduces Figure 1: the architecture's event flow. It traces one
 // customized interaction from the user event through the database event,
 // the active mechanism's rule selection, the interface objects library, and
-// the generic interface builder back to the screen.
+// the generic interface builder back to the screen. The active mechanism's
+// part is read from the engine's spans, as an operator reads it at /traces.
 func RunF1(w io.Writer, _ bool) error {
 	f, err := NewFixture(4, 1, true)
 	if err != nil {
@@ -27,8 +30,8 @@ func RunF1(w io.Writer, _ bool) error {
 	fmt.Fprintln(w, "(user event -> GIS interface -> DB event -> active mechanism ->")
 	fmt.Fprintln(w, " interface objects library -> generic interface builder -> screen)")
 	fmt.Fprintln(w)
-	var engineTrace []string
-	f.Sys.Engine.Trace = func(line string) { engineTrace = append(engineTrace, line) }
+	rec := obs.NewSpanRecorder(64)
+	f.Sys.Engine.Tracer().AttachSink(rec)
 	s := f.Sys.NewSession(JulianoCtx)
 	if err := s.Connect(); err != nil {
 		return err
@@ -36,9 +39,11 @@ func RunF1(w io.Writer, _ bool) error {
 	if _, err := s.OpenSchema(workload.SchemaName); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "active mechanism trace:")
-	for _, line := range engineTrace {
-		fmt.Fprintln(w, "  [engine]    ", line)
+	fmt.Fprintln(w, "active mechanism spans, in start order:")
+	spans := rec.Spans()
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	for _, sp := range spans {
+		fmt.Fprintln(w, "  [engine]    ", spanLine(sp))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "dispatcher trace:")
@@ -48,6 +53,16 @@ func RunF1(w io.Writer, _ bool) error {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "windows on screen: %v\n", s.Windows())
 	return nil
+}
+
+// spanLine renders a span as its name and its attributes in order.
+func spanLine(sp obs.Span) string {
+	var b strings.Builder
+	b.WriteString(sp.Name)
+	for _, a := range sp.Attrs {
+		fmt.Fprintf(&b, " %s=%q", a.Key, a.Value)
+	}
+	return b.String()
 }
 
 // RunF2 reproduces Figure 2: the kernel classes of the interface objects

@@ -208,7 +208,7 @@ func Open(opts Options) (*DB, error) {
 			logFile = lf
 		}
 		if logFile != nil {
-			w, err := storage.OpenWAL(logFile, storage.WALOptions{})
+			w, err := storage.OpenWAL(logFile)
 			if err != nil {
 				_ = pager.Close()
 				return nil, err

@@ -363,6 +363,56 @@ func TestWindowExact(t *testing.T) {
 	}
 }
 
+// TestWindowConcurrentDelete races map zooms against a writer that inserts
+// and deletes a pole inside the window. A pole deleted between the index
+// search and its read must drop out of the result, not fail the zoom with
+// ErrNoInstance.
+func TestWindowConcurrentDelete(t *testing.T) {
+	db := buildPhoneNet(t)
+	w := geom.R(0, 0, 10, 10)
+	started, stop := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		close(started)
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			oid, err := db.InsertMap(testCtx, "phone_net", "Pole", map[string]catalog.Value{
+				"pole_location": catalog.GeomVal(geom.Pt(5, 5)),
+			})
+			if err == nil {
+				err = db.Delete(testCtx, oid)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("writer: %v", err)
+		}
+	}()
+	<-started
+	for i := 0; i < 3000; i++ {
+		if _, err := db.InstancesInWindow("phone_net", "Pole", w); err != nil {
+			t.Fatalf("InstancesInWindow, read %d: %v", i, err)
+		}
+		if _, err := db.WindowExact("phone_net", "Pole", w); err != nil {
+			t.Fatalf("WindowExact, read %d: %v", i, err)
+		}
+		if _, err := db.RelateQuery("phone_net", "Pole", w.AsPolygon(), geom.Inside); err != nil {
+			t.Fatalf("RelateQuery, read %d: %v", i, err)
+		}
+	}
+}
+
 func TestSelectPredicate(t *testing.T) {
 	db := buildPhoneNet(t)
 	sup := insertSupplier(t, db, "ACME", "SP")

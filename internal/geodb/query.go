@@ -1,6 +1,7 @@
 package geodb
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -200,7 +201,9 @@ func (db *DB) windowScan(schema, class string, window geom.Rect) ([]catalog.OID,
 
 // InstancesInWindow materializes the class instances whose geometry bounds
 // intersect the viewport, in OID order — what a zoomed or panned map
-// displays without touching the rest of the extension.
+// displays without touching the rest of the extension. The index search and
+// each read take the read lock separately, so an instance deleted between
+// them is left out rather than failing the whole window.
 func (db *DB) InstancesInWindow(schema, class string, window geom.Rect) ([]Instance, error) {
 	oids, err := db.Window(schema, class, window)
 	if err != nil {
@@ -210,6 +213,9 @@ func (db *DB) InstancesInWindow(schema, class string, window geom.Rect) ([]Insta
 	out := make([]Instance, 0, len(oids))
 	for _, oid := range oids {
 		in, err := db.lookup(oid)
+		if errors.Is(err, ErrNoInstance) {
+			continue // deleted since the index search
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -228,6 +234,9 @@ func (db *DB) WindowExact(schema, class string, window geom.Rect) ([]catalog.OID
 	var out []catalog.OID
 	for _, oid := range cands {
 		in, err := db.lookup(oid)
+		if errors.Is(err, ErrNoInstance) {
+			continue // deleted since the candidate search
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -282,6 +291,9 @@ func (db *DB) RelateQuery(schema, class string, probe geom.Polygon, rel geom.Rel
 	var out []catalog.OID
 	for _, oid := range cands {
 		in, err := db.lookup(oid)
+		if errors.Is(err, ErrNoInstance) {
+			continue // deleted since the candidate search
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -89,6 +91,19 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	Start(h).Stop()
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metric handles must read as zero")
+	}
+}
+
+func TestDiscardLoggerDropsEveryLevel(t *testing.T) {
+	lg := DiscardLogger.With("conn", 1).WithGroup("g")
+	for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelError} {
+		if lg.Enabled(context.Background(), lv) {
+			t.Errorf("discard logger enabled at %v", lv)
+		}
+	}
+	lg.Error("dropped", "err", "boom")
+	if err := lg.Handler().Handle(context.Background(), slog.Record{}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sort"
@@ -40,8 +41,9 @@ type PrimaryOptions struct {
 	SnapshotChunk int
 	// Tracer parents ship/snapshot spans (nil = disabled).
 	Tracer *obs.Tracer
-	// Logf, when set, receives one line per replica attach/detach/fault.
-	Logf func(format string, args ...any)
+	// Log receives an info line per replica snapshot and detach (nil =
+	// obs.DiscardLogger).
+	Log *slog.Logger
 }
 
 func (o *PrimaryOptions) defaults() {
@@ -65,6 +67,9 @@ func (o *PrimaryOptions) defaults() {
 	}
 	if o.SnapshotChunk <= 0 {
 		o.SnapshotChunk = 128
+	}
+	if o.Log == nil {
+		o.Log = obs.DiscardLogger
 	}
 }
 
@@ -329,7 +334,7 @@ func (p *Primary) ServeConn(conn net.Conn) {
 		p.mu.Unlock()
 	}()
 	if err := p.shipTo(conn, sc); err != nil {
-		p.logf("repl: primary: replica %s detached: %v", addr, err)
+		p.opts.Log.Info("replica detached", "replica", addr, "err", err)
 	}
 }
 
@@ -360,7 +365,7 @@ func (p *Primary) shipTo(conn net.Conn, sc *shipConn) error {
 		}
 		from = snapLSN
 		sc.setAcked(snapLSN)
-		p.logf("repl: primary: replica %s snapshotted through lsn %d", sc.addr, snapLSN)
+		p.opts.Log.Info("replica snapshotted", "replica", sc.addr, "lsn", uint64(snapLSN))
 	}
 
 	// Acks ride the same conn in the other direction; any read error closes
@@ -568,10 +573,4 @@ func (p *Primary) Close() error {
 	}
 	p.wg.Wait()
 	return nil
-}
-
-func (p *Primary) logf(format string, args ...any) {
-	if p.opts.Logf != nil {
-		p.opts.Logf(format, args...)
-	}
 }

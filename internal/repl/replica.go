@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -43,14 +44,15 @@ type ReplicaOptions struct {
 	WriteTimeout time.Duration
 	// ReconnectDelay paces redial attempts (default 100ms).
 	ReconnectDelay time.Duration
-	// SlowApply warns through Logf when applying one record batch takes
+	// SlowApply warns through Log when applying one record batch takes
 	// longer than this (0 = never).
 	SlowApply time.Duration
 	// Tracer parents apply spans under the primary's ship spans (nil =
 	// disabled).
 	Tracer *obs.Tracer
-	// Logf, when set, receives reconnect/fault/slow-apply lines.
-	Logf func(format string, args ...any)
+	// Log receives warn lines on stream loss and restore, lineage changes
+	// and slow applies (nil = obs.DiscardLogger).
+	Log *slog.Logger
 }
 
 func (o *ReplicaOptions) defaults() {
@@ -75,6 +77,9 @@ func (o *ReplicaOptions) defaults() {
 	if o.Dial == nil {
 		addr := o.Addr
 		o.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	if o.Log == nil {
+		o.Log = obs.DiscardLogger
 	}
 }
 
@@ -166,7 +171,7 @@ func (r *Replica) run() {
 		r.mu.Unlock()
 		if down && wasConnected {
 			down = false
-			r.logf("repl: replica: stream restored")
+			r.opts.Log.Warn("replication stream restored")
 		}
 		r.setConnected(false)
 		if r.isClosed() {
@@ -178,7 +183,8 @@ func (r *Replica) run() {
 			r.reconnects++
 			r.mu.Unlock()
 			if !down || err.Error() != lastErr {
-				r.logf("repl: replica: stream lost (%v), reconnecting every %v", err, r.opts.ReconnectDelay)
+				r.opts.Log.Warn("replication stream lost; reconnecting", "err", err,
+					"retry_ms", r.opts.ReconnectDelay.Milliseconds())
 			}
 			down, lastErr = true, err.Error()
 		}
@@ -247,8 +253,8 @@ func (r *Replica) session() error {
 		r.backendV = nil
 		r.dbLSN = 0
 		r.dbMu.Unlock()
-		r.logf("repl: replica: primary lineage changed (run %d -> %d), discarding state and re-seeding",
-			lineage, sessionRunID)
+		r.opts.Log.Warn("primary lineage changed; discarding state and re-seeding",
+			"old_run", lineage, "new_run", sessionRunID)
 	}
 	r.mu.Lock()
 	if r.applied == 0 {
@@ -384,7 +390,8 @@ func (r *Replica) applyBatch(m *msg) (storage.LSN, error) {
 	}
 	mAppliedRecords.Add(uint64(len(m.Recs)))
 	if el := time.Since(start); r.opts.SlowApply > 0 && el > r.opts.SlowApply {
-		r.logf("repl: replica: slow apply: %d records in %v (threshold %v)", len(m.Recs), el, r.opts.SlowApply)
+		r.opts.Log.Warn("slow apply", "records", len(m.Recs), "dur_ms", el.Milliseconds(),
+			"threshold_ms", r.opts.SlowApply.Milliseconds())
 	}
 	return r.applied, nil
 }
@@ -633,10 +640,4 @@ func (r *Replica) SelectWhere(ctx event.Context, schema, class string, filters [
 // call_method to the primary.
 func (r *Replica) CallMethod(oid catalog.OID, method string, args ...catalog.Value) (catalog.Value, error) {
 	return catalog.Value{}, fmt.Errorf("repl: call_method %q is pinned to the primary (%w)", method, geodb.ErrReadOnly)
-}
-
-func (r *Replica) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
-	}
 }

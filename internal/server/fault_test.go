@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -44,6 +45,8 @@ func counter(name string) uint64 {
 
 func TestPanicInHandleReturnsProtocolError(t *testing.T) {
 	srv := New(&panicBackend{DirectBackend: testBackend(t)})
+	var logs logSink
+	srv.Log = logs.logger()
 	srvConn, cliConn := net.Pipe()
 	go srv.ServeConn(srvConn)
 	defer srv.Close()
@@ -56,6 +59,12 @@ func TestPanicInHandleReturnsProtocolError(t *testing.T) {
 	}
 	if got := counter("gis_server_panics_total"); got != before+1 {
 		t.Fatalf("gis_server_panics_total = %d, want %d", got, before+1)
+	}
+	// The recovery logged before the response left, so its line is out.
+	warns := logs.lines(t, "WARN")
+	if len(warns) != 1 || warns[0]["verb"] != "get_schema" ||
+		!strings.Contains(fmt.Sprint(warns[0]["panic"]), "GetSchema exploded") {
+		t.Fatalf("warn lines = %v, want one naming the panic", warns)
 	}
 	// The connection survived: a non-panicking verb still answers.
 	resp = rawExchange(t, cliConn, proto.Request{ID: 2, Op: proto.OpStats})

@@ -20,8 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,17 +121,15 @@ type Server struct {
 	// on WAL replay instead.
 	Checkpoint func() error
 
-	// Logf receives connection-level failures; default drops them. Request
-	// errors are returned to the client, not logged.
-	Logf func(format string, args ...any)
-
-	// Log, when set, emits structured JSON lines: connection lifecycle at
-	// debug, and requests slower than SlowRequest at warn, each stamped
-	// with the connection ID and (when traced) the trace ID.
-	Log *obs.Logger
+	// Log receives connection lifecycle at debug, and connection failures,
+	// recovered panics and requests slower than SlowRequest at warn. Lines
+	// from a connection carry its ID and peer address; a slow request also
+	// carries its trace ID. Request errors go back to the client and are
+	// not logged. Nil means obs.DiscardLogger.
+	Log *slog.Logger
 
 	// SlowRequest is the latency threshold above which a request earns a
-	// warn-level log line (requires Log). Zero disables.
+	// warn-level log line. Zero disables.
 	SlowRequest time.Duration
 
 	// Tracer, when set, roots one server-side span per request, continuing
@@ -159,19 +157,8 @@ func New(backend ui.Backend) *Server {
 	s := &Server{
 		backend: backend,
 		conns:   map[net.Conn]*connState{},
-		Logf:    func(string, ...any) {},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// NewLogging is New with failures emitted as structured JSON warn lines on
-// stderr (and the same logger installed as Log for request logging).
-func NewLogging(backend ui.Backend) *Server {
-	s := New(backend)
-	lg := obs.NewLogger(os.Stderr, obs.LevelInfo).With("proc", "gis-server")
-	s.Log = lg
-	s.Logf = func(format string, args ...any) { lg.Warn(fmt.Sprintf(format, args...)) }
 	return s
 }
 
@@ -345,7 +332,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// next Open has nothing to replay.
 	if s.Checkpoint != nil {
 		if cerr := s.Checkpoint(); cerr != nil {
-			s.Logf("server: shutdown checkpoint: %v", cerr)
+			s.logger().Warn("shutdown checkpoint failed", "err", cerr)
 			if err == nil {
 				err = cerr
 			}
@@ -367,14 +354,22 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// logger returns Log, or obs.DiscardLogger when Log is unset.
+func (s *Server) logger() *slog.Logger {
+	if s.Log != nil {
+		return s.Log
+	}
+	return obs.DiscardLogger
+}
+
 // connLogger derives the per-connection logger: every line it emits carries
-// the connection ID and peer address. Nil-safe (nil when Log is unset).
-func (s *Server) connLogger(conn net.Conn, cid uint64) *obs.Logger {
+// the connection ID and peer address.
+func (s *Server) connLogger(conn net.Conn, cid uint64) *slog.Logger {
 	var peer string
 	if addr := conn.RemoteAddr(); addr != nil {
 		peer = addr.String()
 	}
-	return s.Log.With("conn", cid, "peer", peer)
+	return s.logger().With("conn", cid, "peer", peer)
 }
 
 // startRequestSpan opens the server-side request span — the local root of
@@ -400,13 +395,13 @@ func (s *Server) startRequestSpan(req *proto.Request) *obs.Span {
 // leave): the request span finishes — triggering the tail sampler's
 // retention decision — and requests over the SlowRequest threshold earn a
 // structured warn line carrying the trace ID.
-func (s *Server) finishRequest(cl *obs.Logger, op proto.Op, sp *obs.Span, t0 time.Time, errMsg string) {
+func (s *Server) finishRequest(cl *slog.Logger, op proto.Op, sp *obs.Span, t0 time.Time, errMsg string) {
 	if errMsg != "" {
 		sp.SetError(errors.New(errMsg))
 	}
 	sp.Finish()
 	dur := time.Since(t0)
-	if s.SlowRequest > 0 && dur >= s.SlowRequest && cl.Enabled(obs.LevelWarn) {
+	if s.SlowRequest > 0 && dur >= s.SlowRequest && cl.Enabled(context.Background(), slog.LevelWarn) {
 		kvs := []any{"verb", string(op), "dur_ms", dur.Milliseconds()}
 		if sp != nil {
 			kvs = append(kvs, "trace", obs.IDString(sp.Trace))
@@ -430,7 +425,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	defer cl.Debug("connection closed")
 	defer s.unregister(conn)
 	for {
-		req, ok := s.readRequest(conn)
+		req, ok := s.readRequest(conn, cl)
 		if !ok {
 			return
 		}
@@ -460,7 +455,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		s.mu.Unlock()
 		if werr != nil {
 			if !errors.Is(werr, net.ErrClosed) {
-				s.Logf("server: write to %v: %v", conn.RemoteAddr(), werr)
+				cl.Warn("write failed", "err", werr)
 			}
 			return
 		}
@@ -471,8 +466,8 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 }
 
 // readRequest reads one frame under the idle deadline, logging the reasons
-// a connection ends; ok is false when the connection is done.
-func (s *Server) readRequest(conn net.Conn) (req proto.Request, ok bool) {
+// a connection ends to cl; ok is false when the connection is done.
+func (s *Server) readRequest(conn net.Conn, cl *slog.Logger) (req proto.Request, ok bool) {
 	if s.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 	}
@@ -480,9 +475,9 @@ func (s *Server) readRequest(conn net.Conn) (req proto.Request, ok bool) {
 		switch {
 		case isTimeout(err):
 			mIdleTimeouts.Inc()
-			s.Logf("server: idle timeout on %v", conn.RemoteAddr())
+			cl.Warn("idle timeout")
 		case !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed):
-			s.Logf("server: read from %v: %v", conn.RemoteAddr(), err)
+			cl.Warn("read failed", "err", err)
 		}
 		return proto.Request{}, false
 	}
@@ -511,7 +506,7 @@ type pipelined struct {
 // goroutines are pooled across requests, so any tracing state held
 // per-goroutine (rather than per-request) would stitch spans of unrelated
 // requests together under whichever trace the goroutine saw first.
-func (s *Server) serveConnPipelined(conn net.Conn, st *connState, depth int, cl *obs.Logger) {
+func (s *Server) serveConnPipelined(conn net.Conn, st *connState, depth int, cl *slog.Logger) {
 	defer s.unregister(conn)
 
 	respCh := make(chan pipelined, depth)
@@ -526,7 +521,7 @@ func (s *Server) serveConnPipelined(conn net.Conn, st *connState, depth int, cl 
 				}
 				if werr := proto.WriteMessage(conn, p.resp); werr != nil {
 					if !errors.Is(werr, net.ErrClosed) {
-						s.Logf("server: write to %v: %v", conn.RemoteAddr(), werr)
+						cl.Warn("write failed", "err", werr)
 					}
 					// The stream is broken; close so the reader stops
 					// admitting, then keep draining respCh so workers
@@ -546,7 +541,7 @@ func (s *Server) serveConnPipelined(conn net.Conn, st *connState, depth int, cl 
 	sem := make(chan struct{}, depth)
 	var wg sync.WaitGroup
 	for {
-		req, ok := s.readRequest(conn)
+		req, ok := s.readRequest(conn, cl)
 		if !ok {
 			break
 		}
@@ -604,7 +599,7 @@ func (s *Server) handle(req proto.Request) (resp proto.Response) {
 		// surface it as a protocol error and keep serving.
 		if r := recover(); r != nil {
 			mPanics.Inc()
-			s.Logf("server: panic handling %s: %v", req.Op, r)
+			s.logger().Warn("panic handling request", "verb", string(req.Op), "panic", fmt.Sprint(r))
 			resp = proto.Response{ID: req.ID, Err: fmt.Sprintf("server: internal error handling %s: %v", req.Op, r)}
 		}
 	}()

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,6 +62,43 @@ func rawExchange(t *testing.T, conn net.Conn, req proto.Request) proto.Response 
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// logSink collects the server's JSON log lines. Connection goroutines write
+// it while the test reads it, hence the mutex.
+type logSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logSink) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+// logger returns a debug-level JSON logger writing to the sink.
+func (l *logSink) logger() *slog.Logger {
+	return slog.New(slog.NewJSONHandler(l, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+// lines decodes the lines written so far at the given level.
+func (l *logSink) lines(t *testing.T, level string) []map[string]any {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []map[string]any
+	dec := json.NewDecoder(bytes.NewReader(l.buf.Bytes()))
+	for dec.More() {
+		var m map[string]any
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("log is not JSON lines: %v\n%s", err, l.buf.String())
+		}
+		if m["level"] == level {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 func TestUnknownOp(t *testing.T) {
@@ -266,7 +307,6 @@ func TestShutdownCheckpoints(t *testing.T) {
 	srv2 := New(testBackend(t))
 	wantErr := errors.New("disk gone")
 	srv2.Checkpoint = func() error { return wantErr }
-	srv2.Logf = func(string, ...any) {}
 	l2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -141,13 +141,17 @@ func (b *stallBackend) GetSchema(ctx event.Context, schema string) (geodb.Schema
 
 // TestTailSamplerRetainsSlowRequest is the acceptance demo: with SlowestN=1
 // and head sampling off, a deliberately slowed request is retained while the
-// fast ones around it are dropped.
+// fast ones around it are dropped, and its slow-request log line carries the
+// trace ID that finds it.
 func TestTailSamplerRetainsSlowRequest(t *testing.T) {
 	srv := New(&stallBackend{DirectBackend: testBackend(t), delay: 60 * time.Millisecond})
 	ts := obs.NewTailSampler(obs.TailSamplerOptions{SlowestN: 1, HeadRate: 0})
 	srv.Tracer = obs.NewTracer()
 	srv.Tracer.AttachSink(ts)
 	srv.TraceStore = ts
+	var logs logSink
+	srv.Log = logs.logger()
+	srv.SlowRequest = 50 * time.Millisecond
 
 	srvConn, cliConn := net.Pipe()
 	go srv.ServeConn(srvConn)
@@ -166,6 +170,17 @@ func TestTailSamplerRetainsSlowRequest(t *testing.T) {
 		if resp.Err != "" {
 			t.Fatalf("request %d: %s", i, resp.Err)
 		}
+	}
+	// The connection reads request 5 only after request 4 is logged.
+	var slow map[string]any
+	for _, ln := range logs.lines(t, "WARN") {
+		if ln["msg"] == "slow request" && ln["trace"] == obs.IDString(slowTrace) {
+			slow = ln
+		}
+	}
+	if dur, _ := slow["dur_ms"].(float64); dur < 60 || slow["verb"] != "get_schema" ||
+		slow["conn"] == nil || slow["peer"] == nil || slow["time"] == nil {
+		t.Fatalf("slow request line = %v, want one for trace %s", slow, obs.IDString(slowTrace))
 	}
 	waitTraces(t, ts, 1)
 

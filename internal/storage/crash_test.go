@@ -128,7 +128,7 @@ func checkpointStore(pool *BufferPool, pager Pager, w *WAL) error {
 // have reached durability, but recovery must surface it atomically — all of
 // its ops or none.
 func runCrashWorkload(pager Pager, logf LogFile) (acked map[int]int, pending []crashOp, err error) {
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,7 +223,7 @@ func sameState(a, b map[int]int) bool {
 // any partial outcome a recovery bug, not a tolerated ambiguity.
 func recoverAndVerify(t *testing.T, label string, mem *MemPager, logf *MemLogFile, acked map[int]int, pending []crashOp) {
 	t.Helper()
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatalf("%s: reopen wal: %v", label, err)
 	}

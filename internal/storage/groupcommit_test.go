@@ -71,7 +71,7 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
 	const rounds = 16
 	logf := &slowLogFile{LogFile: NewMemLogFile(), delay: time.Millisecond}
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ type gcAcked struct {
 // returns each writer's history (acked = -1 when nothing was acknowledged).
 func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, seed int64) []gcAcked {
 	t.Helper()
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 // nothing appears that was never attempted.
 func verifyGroupCommitHistory(t *testing.T, label string, logf *MemLogFile, hist []gcAcked) {
 	t.Helper()
-	w, err := OpenWAL(logf, WALOptions{})
+	w, err := OpenWAL(logf)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}

@@ -127,11 +127,6 @@ func OpenLogFile(path string) (LogFile, error) {
 	return osLogFile{f}, nil
 }
 
-// WALOptions tunes a WAL. It has no fields: every acknowledged commit is
-// durable, and concurrent committers share fsyncs through group commit
-// rather than skipping them.
-type WALOptions struct{}
-
 // WAL is a redo write-ahead log over a LogFile. All methods are safe for
 // concurrent use.
 type WAL struct {
@@ -195,7 +190,7 @@ func toRecord(r walRecord) Record {
 // not replay: callers that may hold acknowledged-but-unapplied mutations
 // must call Replay (and normally checkpoint) before appending. An empty
 // file starts at LSN 1.
-func OpenWAL(f LogFile, _ WALOptions) (*WAL, error) {
+func OpenWAL(f LogFile) (*WAL, error) {
 	w := &WAL{f: f, nextLSN: 1}
 	w.syncCond = sync.NewCond(&w.mu)
 	size, err := f.Size()

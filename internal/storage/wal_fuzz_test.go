@@ -13,7 +13,7 @@ import (
 func FuzzWALDecode(f *testing.F) {
 	// Seed with a real two-record log produced by the encoder.
 	seed := NewMemLogFile()
-	w, err := OpenWAL(seed, WALOptions{})
+	w, err := OpenWAL(seed)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func FuzzWALDecode(f *testing.F) {
 		if _, err := lf.WriteAt(data, 0); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWAL(lf, WALOptions{})
+		w, err := OpenWAL(lf)
 		if err != nil {
 			t.Fatalf("OpenWAL on fuzzed bytes: %v", err)
 		}

@@ -22,7 +22,7 @@ func pageWith(t *testing.T, payload string) *Page {
 
 func TestWALAppendAndReplay(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestWALAppendAndReplay(t *testing.T) {
 	}
 
 	// Reopen and replay into a fresh pager, as Open would after a crash.
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestWALAppendAndReplay(t *testing.T) {
 
 func TestWALTornTailTruncated(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("write torn tail: %v", err)
 	}
 
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 
 func TestWALCorruptMiddleStopsScan(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestWALCommitAlwaysDurable(t *testing.T) {
 	lf := NewMemLogFile()
 	crash := &Crasher{} // count-only: every WriteAt/Sync/Truncate is a point
 	cf := NewCrashLogFile(lf, crash)
-	w, err := OpenWAL(cf, WALOptions{})
+	w, err := OpenWAL(cf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestWALCommitAlwaysDurable(t *testing.T) {
 // being synced. The invariant: acknowledged ⇒ the whole group is durable.
 func TestWALCommitCoversGroupAfterEvictionSync(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestWALCommitCoversGroupAfterEvictionSync(t *testing.T) {
 
 func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestWALCheckpointTruncatesAndKeepsLSNsMonotonic(t *testing.T) {
 	}
 	// Replay after checkpoint applies nothing: the data file owns it all.
 	pager := NewMemPager()
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -276,7 +276,7 @@ func TestWALFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open log file: %v", err)
 	}
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestWALFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen log file: %v", err)
 	}
-	w2, err := OpenWAL(lf2, WALOptions{})
+	w2, err := OpenWAL(lf2)
 	if err != nil {
 		t.Fatalf("reopen wal: %v", err)
 	}
@@ -360,7 +360,7 @@ func TestCrashPagerTornWrite(t *testing.T) {
 func TestWALBeforeData(t *testing.T) {
 	mem := NewMemPager()
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open wal: %v", err)
 	}
@@ -415,7 +415,7 @@ func TestWALBeforeData(t *testing.T) {
 // marker's.
 func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -430,7 +430,7 @@ func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 	}
 	ckptLSN := w.SyncedLSN()
 
-	w2, err := OpenWAL(lf, WALOptions{})
+	w2, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("reopen of checkpoint-marker-only log: %v", err)
 	}
@@ -455,7 +455,7 @@ func TestWALCheckpointOnlyLogReopens(t *testing.T) {
 // restart of the sequence would alias two different histories.
 func TestWALLSNContinuesAfterTruncation(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -491,7 +491,7 @@ func TestWALLSNContinuesAfterTruncation(t *testing.T) {
 // into a snapshot fallback.
 func TestWALReadFrom(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -540,7 +540,7 @@ func TestWALReadFrom(t *testing.T) {
 // group closes, which is what keeps replicas from serving torn mutations.
 func TestWALGroupBoundary(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -611,7 +611,7 @@ func TestWALGroupBoundary(t *testing.T) {
 // durable LSN.
 func TestWALObservers(t *testing.T) {
 	lf := NewMemLogFile()
-	w, err := OpenWAL(lf, WALOptions{})
+	w, err := OpenWAL(lf)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

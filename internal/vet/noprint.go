@@ -8,27 +8,33 @@ import (
 
 // NoPrint ports the original repovet rule onto the framework: library
 // packages must not print to stdout/stderr via fmt.Print* or the standard
-// log package — output belongs to the cmd/ front-ends (and examples/),
-// while libraries report through errors, traces, metrics and the
-// structured obs.Logger. Dot-imports are flagged everywhere: they defeat
-// qualifier-based checks like this one.
+// log package, nor log through log/slog's package-level functions, which
+// write through the process-default logger. Output belongs to the cmd/
+// front-ends (and examples/), while libraries report through errors,
+// traces, metrics and a *slog.Logger their caller hands them. Dot-imports
+// are flagged everywhere: they defeat qualifier-based checks like this one.
 //
 // Unlike the old text grep, resolution is type-based, so aliased imports
 // (pr "fmt") are caught and same-named local packages are not.
 var NoPrint = &Analyzer{
 	Name:     "noprint",
-	Doc:      "fmt.Print*/log.Print* in library packages; dot-imports anywhere",
+	Doc:      "fmt.Print*/log.Print*/package-level slog calls in library packages; dot-imports anywhere",
 	Severity: ruleanalysis.SeverityError,
 	Run:      runNoPrint,
 }
 
-// bannedPrint maps a package path to its terminal-writing call names.
+// bannedPrint maps a package path to its output-writing call names.
 var bannedPrint = map[string]map[string]bool{
 	"fmt": {"Print": true, "Printf": true, "Println": true},
 	"log": {
 		"Print": true, "Printf": true, "Println": true,
 		"Fatal": true, "Fatalf": true, "Fatalln": true,
 		"Panic": true, "Panicf": true, "Panicln": true,
+	},
+	"log/slog": {
+		"Debug": true, "Info": true, "Warn": true, "Error": true,
+		"DebugContext": true, "InfoContext": true, "WarnContext": true, "ErrorContext": true,
+		"Log": true, "LogAttrs": true,
 	},
 }
 
@@ -61,7 +67,7 @@ func runNoPrint(p *Pass) {
 				return true
 			}
 			p.Reportf(call.Pos(),
-				"%s.%s writes to the terminal from a library package; return an error or use obs instead",
+				"%s.%s writes output from a library package; return an error, or report through obs or an injected *slog.Logger",
 				pkg, sel.Sel.Name)
 			return true
 		})

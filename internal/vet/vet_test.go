@@ -64,6 +64,7 @@ func TestCorpusSeededCases(t *testing.T) {
 		{"errdrop", "drops/drops.go", "defer discards the error from f.Sync"},
 		{"noprint", "prints/prints.go", "fmt.Println"},
 		{"noprint", "prints/prints.go", "log.Printf"},
+		{"noprint", "prints/prints.go", "log/slog.Info"},
 		{"noprint", "prints/dot.go", "dot-import"},
 		{"testleak", "leaks/leaks_test.go", "no visible join"},
 		{"testleak", "leaks/leaks_test.go", "time.Sleep"},
