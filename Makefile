@@ -92,10 +92,10 @@ repl-smoke:
 	go test -race -count=1 -run 'TestTopologyStalledReplicaPoisonedAndEvicted' ./internal/client
 
 # Group-commit flake sweep (DESIGN.md §15): the concurrent-committer
-# linearizability oracle + crash matrix, the transaction tests, the
-# window-query/delete race and the replica consistency oracles, each run
-# five times under -race so an interleaving-dependent failure cannot hide
-# behind one lucky run.
+# linearizability oracle + crash matrix, the group-end durability and
+# pool no-steal tests, the transaction tests, the window-query/delete race
+# and the replica consistency oracles, each run five times under -race so
+# an interleaving-dependent failure cannot hide behind one lucky run.
 txn-smoke:
-	go test -race -count=5 -run 'TestWALGroupCommit|TestTxn|TestWindowConcurrentDelete' ./internal/storage ./internal/geodb
+	go test -race -count=5 -run 'TestWALGroupCommit|TestWALDurableIsGroupEnd|TestBufferPoolLogGroup|TestTxn|TestWindowConcurrentDelete' ./internal/storage ./internal/geodb
 	go test -race -count=5 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl

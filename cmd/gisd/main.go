@@ -43,7 +43,6 @@ func main() {
 		pipeline   = flag.Int("pipeline", 1, "max concurrent requests per connection (1 = sequential, pre-pipelining behavior)")
 		wal        = flag.Bool("wal", true, "write-ahead logging for a -db file: acknowledged mutations survive a crash (false = flush-on-close only)")
 		ckptEvery  = flag.Int("checkpoint-every", 1024, "checkpoint (flush + truncate the WAL) after this many commits; bounds replay on restart (<0 = never)")
-		txn        = flag.Bool("txn", true, "serve the txn verb: clients may commit atomic mutation batches sharing one group-commit fsync (false = per-mutation commits only)")
 
 		replListen = flag.String("repl-listen", "", "serve the WAL ship stream to replicas on this address (primary role; forces the WAL on)")
 		replicaOf  = flag.String("replica-of", "", "follow the primary's ship stream at this address and serve read-only verbs (replica role; most workload flags are ignored)")
@@ -198,7 +197,6 @@ func main() {
 	srv.IdleTimeout = *idle
 	srv.MaxConns = *maxConns
 	srv.PipelineDepth = *pipeline
-	srv.DisableTxn = !*txn
 	srv.Log = logger
 	srv.SlowRequest = *slowReq
 	if *replListen != "" {

@@ -46,8 +46,6 @@ type Options struct {
 	// database, reverting to flush-on-close durability (the pre-WAL
 	// behavior; the BENCH_PR5 baseline).
 	DisableWAL bool
-	// WALPath overrides where the log lives; default Path+".wal".
-	WALPath string
 	// CheckpointEvery checkpoints (flush dirty pages, sync the data file,
 	// truncate the log) after this many commits, bounding both the log size
 	// and replay work at the next Open. 0 means 1024; negative disables
@@ -196,11 +194,7 @@ func Open(opts Options) (*DB, error) {
 	if !opts.DisableWAL {
 		logFile := opts.WALFile
 		if logFile == nil && opts.Path != "" {
-			walPath := opts.WALPath
-			if walPath == "" {
-				walPath = opts.Path + ".wal"
-			}
-			lf, err := storage.OpenLogFile(walPath)
+			lf, err := storage.OpenLogFile(opts.Path + ".wal")
 			if err != nil {
 				_ = pager.Close()
 				return nil, err
@@ -231,10 +225,7 @@ func Open(opts Options) (*DB, error) {
 			wal = w
 		}
 	}
-	pool := storage.NewBufferPool(pager, poolSize, opts.Policy)
-	if wal != nil {
-		pool.AttachWAL(wal)
-	}
+	pool := storage.NewBufferPool(pager, poolSize, opts.Policy, wal)
 	name := opts.Name
 	if name == "" {
 		name = "GEO"
@@ -391,19 +382,16 @@ func (db *DB) checkpointLocked(sp *obs.Span) error {
 	return db.wal.Checkpoint()
 }
 
-// closeGroupLocked terminates the current mutation group: the WAL gets its
-// commit marker (see storage.WAL.EndGroup) and the in-memory commit
-// sequence advances to seq, publishing the group's effects to snapshots
-// begun afterwards. Callers must hold db.mu: the lock is what keeps group
-// records contiguous in the log, which is what makes recovery and replicas
-// see only whole-mutation prefixes. The returned LSN is the group end the
-// committer must wait on before acknowledging.
+// closeGroupLocked terminates the current mutation group: the buffer pool
+// logs every page the group dirtied as one WAL group (see
+// storage.BufferPool.LogGroup) and the in-memory commit sequence advances
+// to seq, publishing the group's effects to snapshots begun afterwards.
+// Callers must hold db.mu, so no other mutation is touching the group's
+// pages while their images are logged. The returned LSN is the group end
+// the committer must wait on before acknowledging.
 func (db *DB) closeGroupLocked(seq uint64) (storage.LSN, error) {
 	db.commitSeq = seq
-	if db.wal == nil {
-		return 0, nil
-	}
-	return db.wal.EndGroup()
+	return db.heap.Pool().LogGroup()
 }
 
 // commitDurable is the acknowledgement gate every mutation passes on its
@@ -776,11 +764,12 @@ func (db *DB) Delete(ctx event.Context, oid catalog.OID) (rerr error) {
 // single-mutation methods (Insert/Update/Delete) wrap one of them in its own
 // group, and Txn.Commit applies a whole buffered batch under one db.mu hold
 // and one WAL group. All of them require db.mu held for writing, apply at
-// commit sequence seq, and leave the WAL group open — the caller closes it
-// with closeGroupLocked. On error the in-memory state may be partially
-// applied but the group is never closed, so the records cannot replay and a
-// restart restores the pre-group state (in-process divergence until then is
-// the same contract the pre-transaction error paths had).
+// commit sequence seq, and leave the group's pages unlogged — the caller
+// logs them with closeGroupLocked. On error the in-memory state may be
+// partially applied and its pages stay unlogged: nothing reaches the log,
+// so a restart restores the pre-group state, though the next group logs
+// those pages with its own (in-process divergence until then is the same
+// contract the pre-transaction error paths had).
 
 // applyInsertLocked stores a new instance. A zero oid allocates the next
 // OID; a non-zero oid was pre-allocated by Txn.Insert.

@@ -756,7 +756,7 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := storage.NewBufferPool(fp, 4, storage.PolicyLRU)
+	pool := storage.NewBufferPool(fp, 4, storage.PolicyLRU, nil)
 	h := storage.NewHeapFile(pool)
 	if _, err := h.Insert([]byte("garbage record")); err != nil {
 		t.Fatal(err)

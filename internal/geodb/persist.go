@@ -93,7 +93,7 @@ func (db *DB) persistCatalogRecord() (storage.LSN, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if err := db.writeCatalogRecordLocked(data); err != nil {
-		// The group stays open: an unterminated group never replays, so a
+		// The group stays unlogged: nothing reaches the log, so a
 		// half-written catalog record cannot surface after a restart.
 		return 0, err
 	}

@@ -32,7 +32,7 @@ type PrimaryOptions struct {
 	// buffer holds is caught up with a page snapshot instead.
 	BufferRecords int
 	// BatchRecords is the preferred records-per-frame (default 128); frames
-	// stretch past it only to end on a mutation boundary.
+	// stretch past it only to end on a group marker.
 	BatchRecords int
 	// MaxFrameRecords hard-caps records-per-frame against the protocol's
 	// frame size limit (default 1024).
@@ -73,19 +73,12 @@ func (o *PrimaryOptions) defaults() {
 	}
 }
 
-// bufRec is one buffered log record plus whether it ends a durable mutation
-// group (a boundary — a state a replica may expose).
-type bufRec struct {
-	rec      storage.Record
-	boundary bool
-}
-
 // Primary owns the ship side of replication: it observes the database's WAL
-// (every append, durable advance, and mutation boundary), keeps a bounded
-// in-memory tail of the record stream — the log file itself truncates at
-// checkpoints, so it cannot be streamed from directly — and serves any
-// number of replica connections, each getting either a tail stream from its
-// resume LSN or a checkpoint-based page snapshot when that history is gone.
+// (every append and durable advance), keeps a bounded in-memory tail of the
+// record stream — the log file itself truncates at checkpoints, so it
+// cannot be streamed from directly — and serves any number of replica
+// connections, each getting either a tail stream from its resume LSN or a
+// checkpoint-based page snapshot when that history is gone.
 type Primary struct {
 	db    *geodb.DB
 	wal   *storage.WAL
@@ -93,9 +86,9 @@ type Primary struct {
 	runID uint64
 
 	mu      sync.Mutex
-	buf     []bufRec // contiguous LSNs; buf[0] is the oldest streamable
+	buf     []storage.Record // contiguous LSNs; buf[0] is the oldest streamable
 	durable storage.LSN
-	notify  chan struct{} // closed+replaced on durable/boundary advance
+	notify  chan struct{} // closed+replaced on durable advance
 	conns   map[*shipConn]struct{}
 	ln      net.Listener
 	closed  bool
@@ -151,35 +144,26 @@ func NewPrimary(db *geodb.DB, opts PrimaryOptions) (*Primary, error) {
 	// the buffer twice-sourced, deduped by LSN below.
 	wal.OnAppend(p.onAppend)
 	wal.OnDurable(p.onDurable)
-	wal.OnBoundary(p.onBoundary)
 	seed, err := wal.ReadFrom(0)
 	if err != nil {
 		wal.OnAppend(nil)
 		wal.OnDurable(nil)
-		wal.OnBoundary(nil)
 		return nil, err
 	}
 	p.mu.Lock()
 	if len(seed) > 0 {
-		var firstObserved storage.LSN
+		head := seed
 		if len(p.buf) > 0 {
-			firstObserved = p.buf[0].rec.LSN
-		}
-		var head []bufRec
-		durable := wal.Durable()
-		for _, r := range seed {
-			if firstObserved != 0 && r.LSN >= firstObserved {
-				break
+			for i, r := range seed {
+				if r.LSN >= p.buf[0].LSN {
+					head = seed[:i]
+					break
+				}
 			}
-			// Everything in the file predating the observer is at rest —
-			// all closed groups — but only a group's marker is a servable
-			// boundary: a frame cut at an interior page image would hand a
-			// replica a mid-transaction consistency point.
-			head = append(head, bufRec{rec: r, boundary: (r.Checkpoint || r.Commit) && r.LSN <= durable})
 		}
 		p.buf = append(head, p.buf...)
 		if over := len(p.buf) - opts.BufferRecords; over > 0 {
-			p.buf = append([]bufRec(nil), p.buf[over:]...)
+			p.buf = append([]storage.Record(nil), p.buf[over:]...)
 		}
 	}
 	if d := wal.Durable(); d > p.durable {
@@ -192,9 +176,9 @@ func NewPrimary(db *geodb.DB, opts PrimaryOptions) (*Primary, error) {
 // onAppend runs under the WAL lock: copy the record into the tail buffer.
 func (p *Primary) onAppend(r storage.Record) {
 	p.mu.Lock()
-	p.buf = append(p.buf, bufRec{rec: r, boundary: r.Checkpoint})
+	p.buf = append(p.buf, r)
 	if over := len(p.buf) - p.opts.BufferRecords; over > 0 {
-		p.buf = append([]bufRec(nil), p.buf[over:]...)
+		p.buf = append([]storage.Record(nil), p.buf[over:]...)
 	}
 	p.mu.Unlock()
 }
@@ -205,24 +189,6 @@ func (p *Primary) onDurable(lsn storage.LSN) {
 	p.mu.Lock()
 	if lsn > p.durable {
 		p.durable = lsn
-	}
-	close(p.notify)
-	p.notify = make(chan struct{})
-	p.mu.Unlock()
-}
-
-// onBoundary runs under the WAL lock: mark the buffered record ending a
-// durable mutation group.
-func (p *Primary) onBoundary(lsn storage.LSN) {
-	p.mu.Lock()
-	for i := len(p.buf) - 1; i >= 0; i-- {
-		if p.buf[i].rec.LSN == lsn {
-			p.buf[i].boundary = true
-			break
-		}
-		if p.buf[i].rec.LSN < lsn {
-			break
-		}
 	}
 	close(p.notify)
 	p.notify = make(chan struct{})
@@ -244,31 +210,31 @@ func (p *Primary) canStream(from storage.LSN) bool {
 	if from == p.durable {
 		return true
 	}
-	return len(p.buf) > 0 && p.buf[0].rec.LSN <= from+1
+	return len(p.buf) > 0 && p.buf[0].LSN <= from+1
 }
 
 // collect returns the buffered records in (from, durable], the current
 // durable LSN, and whether the range was fully available (false = the tail
 // buffer no longer reaches back to from; the replica must resnapshot).
-func (p *Primary) collect(from storage.LSN) ([]bufRec, storage.LSN, bool) {
+func (p *Primary) collect(from storage.LSN) ([]storage.Record, storage.LSN, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	durable := p.durable
 	if from >= durable {
 		return nil, durable, true
 	}
-	if len(p.buf) == 0 || p.buf[0].rec.LSN > from+1 {
+	if len(p.buf) == 0 || p.buf[0].LSN > from+1 {
 		return nil, durable, false
 	}
-	var out []bufRec
-	for _, br := range p.buf {
-		if br.rec.LSN <= from {
+	var out []storage.Record
+	for _, r := range p.buf {
+		if r.LSN <= from {
 			continue
 		}
-		if br.rec.LSN > durable {
+		if r.LSN > durable {
 			break
 		}
-		out = append(out, br)
+		out = append(out, r)
 	}
 	return out, durable, true
 }
@@ -415,15 +381,17 @@ func (p *Primary) shipTo(conn net.Conn, sc *shipConn) error {
 		if err := p.sendRecords(conn, recs, durable); err != nil {
 			return err
 		}
-		from = recs[len(recs)-1].rec.LSN
+		from = recs[len(recs)-1].LSN
 	}
 }
 
 // sendRecords frames recs (contiguous, all durable) preferring to cut each
-// frame at a mutation boundary so a replica at rest between frames is
-// always at a servable state. The hard cap defends the frame size limit;
-// past it the frame's Boundary simply trails its last record.
-func (p *Primary) sendRecords(conn net.Conn, recs []bufRec, durable storage.LSN) error {
+// frame at a commit or checkpoint marker so a replica at rest between
+// frames is always at a servable state. Every durable marker ends a whole
+// group, because the WAL appends groups whole and its durable LSN is always
+// a group end. The hard cap defends the frame size limit; past it the
+// frame's boundary simply trails its last record.
+func (p *Primary) sendRecords(conn net.Conn, recs []storage.Record, durable storage.LSN) error {
 	sp := p.opts.Tracer.StartRequest("repl.ship", obs.SpanContext{})
 	defer sp.Finish()
 	sp.Setf("records", "%d", len(recs))
@@ -449,12 +417,13 @@ func (p *Primary) sendRecords(conn net.Conn, recs []bufRec, durable storage.LSN)
 		frame = frame[:0]
 		return nil
 	}
-	for _, br := range recs {
-		frame = append(frame, toWireRecord(br.rec))
-		if br.boundary {
-			boundary = br.rec.LSN
+	for _, r := range recs {
+		frame = append(frame, toWireRecord(r))
+		groupEnd := r.Commit || r.Checkpoint
+		if groupEnd {
+			boundary = r.LSN
 		}
-		atBoundary := br.boundary && len(frame) >= p.opts.BatchRecords
+		atBoundary := groupEnd && len(frame) >= p.opts.BatchRecords
 		if atBoundary || len(frame) >= p.opts.MaxFrameRecords {
 			if err := flush(); err != nil {
 				return err
@@ -567,7 +536,6 @@ func (p *Primary) Close() error {
 	close(p.done)
 	p.wal.OnAppend(nil)
 	p.wal.OnDurable(nil)
-	p.wal.OnBoundary(nil)
 	if ln != nil {
 		_ = ln.Close()
 	}

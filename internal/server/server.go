@@ -109,11 +109,6 @@ type Server struct {
 	// is what proto.Request.ID exists to disambiguate.
 	PipelineDepth int
 
-	// DisableTxn turns off the txn verb (gisd -txn=false): batches are then
-	// rejected with ui.ErrNoTxn even though the backend supports them, so an
-	// operator can force clients back to per-mutation commits.
-	DisableTxn bool
-
 	// Checkpoint, when set, is invoked once after Shutdown finishes
 	// draining: the graceful stop ends with a durability point, so a
 	// restart replays nothing (core.System.NewServer wires it to
@@ -729,7 +724,7 @@ func (s *Server) handle(req proto.Request) (resp proto.Response) {
 		}
 	case proto.OpTxn:
 		m, ok := s.backend.(ui.TxnMutator)
-		if !ok || s.DisableTxn {
+		if !ok {
 			return fail(ui.ErrNoTxn)
 		}
 		ops := make([]ui.TxnOp, len(req.TxnOps))

@@ -68,13 +68,13 @@ type frame struct {
 	ref    bool          // Clock reference bit
 	lruEnt *list.Element // position in LRU list (unpinned frames only)
 
-	// WAL bookkeeping (zero when no WAL is attached). pageLSN is the LSN of
-	// the latest logged image of this page; recLSN is the LSN that first
-	// dirtied it since it was last clean (the replay lower bound a fuzzy
-	// checkpoint would record). WAL-before-data: the frame may be written
-	// back only once the log is synced through pageLSN.
-	pageLSN LSN
-	recLSN  LSN
+	// WAL bookkeeping (zero when the pool has no log). unlogged marks a page
+	// dirtied since the last LogGroup: its image is in no group yet, so it
+	// must not reach the data file (no-steal). pageLSN is the end of the
+	// group that logged its latest image; WAL-before-data: the frame may be
+	// written back only once the log is durable through pageLSN.
+	unlogged bool
+	pageLSN  LSN
 }
 
 // BufferPool caches pages of a Pager in a fixed number of frames with
@@ -91,33 +91,29 @@ type BufferPool struct {
 	lru      *list.List // front = most recent; holds PageIDs of unpinned frames
 	clock    []PageID   // clock ring (lazy compaction)
 	hand     int
+	unlogged []*frame // frames marked unlogged, in first-dirtied order
 	stats    PoolStats
 }
 
 // NewBufferPool wraps pager with a pool of capacity frames using the given
-// replacement policy. It panics on a non-positive capacity: pool sizing is
-// a construction-time decision.
-func NewBufferPool(pager Pager, capacity int, policy ReplacementPolicy) *BufferPool {
+// replacement policy. A non-nil wal turns on write-ahead logging: LogGroup
+// logs the pages dirtied since the last group, and eviction and flushes
+// write a page back only once the log is durable through its latest image.
+// It panics on a non-positive capacity: pool sizing is a construction-time
+// decision.
+func NewBufferPool(pager Pager, capacity int, policy ReplacementPolicy, wal *WAL) *BufferPool {
 	if capacity <= 0 {
 		panic("storage: buffer pool capacity must be positive")
 	}
 	return &BufferPool{
 		pager:    pager,
+		wal:      wal,
 		capacity: capacity,
 		policy:   policy,
 		frames:   make(map[PageID]*frame, capacity),
 		lru:      list.New(),
 	}
 }
-
-// AttachWAL enables write-ahead logging: every Unpin(dirty) appends the
-// page's after-image to the log, and eviction/Flush refuse to write a page
-// back until the log is synced through its latest image. Attach before any
-// page is dirtied (geodb.Open does this right after construction).
-func (b *BufferPool) AttachWAL(w *WAL) { b.wal = w }
-
-// WAL returns the attached log, or nil.
-func (b *BufferPool) WAL() *WAL { return b.wal }
 
 // Stats returns a snapshot of the pool counters.
 func (b *BufferPool) Stats() PoolStats {
@@ -156,15 +152,14 @@ func (b *BufferPool) NumPages() uint32 { return b.pager.NumPages() }
 
 // Flush writes every dirty frame back to the pager without evicting.
 // Callers must have quiesced writers (geodb holds its write lock): every
-// group is closed, so nothing here can steal an uncommitted page.
+// group is logged, so nothing here can steal an uncommitted page.
 func (b *BufferPool) Flush() error { return b.flush(false) }
 
-// FlushSettled writes back every dirty frame that is unpinned and whose
-// latest logged image belongs to a committed group. It is the fuzzy first
-// pass of an incremental checkpoint: it runs concurrently with writers,
-// shrinking the residue the quiesced second pass (Flush under the database
-// write lock) must handle. Pinned or open-group frames are skipped, not
-// errors.
+// FlushSettled writes back every dirty frame that is unpinned and logged.
+// It is the fuzzy first pass of an incremental checkpoint: it runs
+// concurrently with writers, shrinking the residue the quiesced second pass
+// (Flush under the database write lock) must handle. Pinned or unlogged
+// frames are skipped, not errors.
 func (b *BufferPool) FlushSettled() error { return b.flush(true) }
 
 // Close flushes dirty pages and closes the pager.
@@ -203,7 +198,8 @@ func (b *BufferPool) Fetch(id PageID) (*Page, error) {
 }
 
 // Unpin releases one pin on the page. dirty marks the page as modified so
-// eviction or Flush writes it back.
+// eviction or Flush writes it back; with a log it also marks the page
+// unlogged, so the next LogGroup logs its image.
 func (b *BufferPool) Unpin(id PageID, dirty bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -214,29 +210,9 @@ func (b *BufferPool) Unpin(id PageID, dirty bool) error {
 	if f.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
 	}
-	if dirty && b.wal != nil {
-		// Log the after-image before the mutation can be considered done.
-		// The record is not yet synced: the commit point (WAL.Commit) or the
-		// writeback gate below makes it durable.
-		lsn, err := b.wal.AppendPage(id, &f.page)
-		if err != nil {
-			// The pin is still released — a failed append must not wedge the
-			// frame — but the page stays dirty and the caller sees the error
-			// (and must not acknowledge the mutation).
-			f.dirty = true
-			f.pins--
-			if f.pins == 0 {
-				f.ref = true
-				if b.policy == PolicyLRU {
-					f.lruEnt = b.lru.PushFront(id)
-				}
-			}
-			return err
-		}
-		f.pageLSN = lsn
-		if f.recLSN == 0 {
-			f.recLSN = lsn
-		}
+	if dirty && b.wal != nil && !f.unlogged {
+		f.unlogged = true
+		b.unlogged = append(b.unlogged, f)
 	}
 	f.dirty = f.dirty || dirty
 	f.pins--
@@ -247,6 +223,36 @@ func (b *BufferPool) Unpin(id PageID, dirty bool) error {
 		}
 	}
 	return nil
+}
+
+// LogGroup closes one group: every page dirtied since the last LogGroup
+// goes to the log once, with its current image, in one WAL.AppendGroup. It
+// returns the group end, the LSN a committer waits on before acknowledging,
+// and stamps it as each logged frame's pageLSN. The caller must have
+// finished mutating the group's pages (geodb calls it under its write
+// lock). On error the pages stay unlogged and go with the next group. A
+// pool without a log returns 0.
+func (b *BufferPool) LogGroup() (LSN, error) {
+	if b.wal == nil {
+		return 0, nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	pages := make([]PageImage, len(b.unlogged))
+	for i, f := range b.unlogged {
+		pages[i] = PageImage{ID: f.id, Page: &f.page}
+	}
+	end, err := b.wal.AppendGroup(pages)
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range b.unlogged {
+		f.unlogged = false
+		f.pageLSN = end
+	}
+	clear(b.unlogged)
+	b.unlogged = b.unlogged[:0]
+	return end, nil
 }
 
 // pin marks a frame in use, removing it from the eviction structures.
@@ -275,22 +281,17 @@ func (b *BufferPool) allocFrame(id PageID) (*frame, error) {
 	return f, nil
 }
 
-// openGroup reports whether f's latest logged image belongs to the WAL's
-// currently open (uncommitted) record group. The no-steal rule: such a
-// frame must not reach the data file, because recovery discards unfinished
-// groups from the log and a stolen page would leave the data file holding
-// half a mutation with no durable image to redo or discard it from.
-func (b *BufferPool) openGroup(f *frame) bool {
-	return b.wal != nil && f.dirty && f.pageLSN > b.wal.LastGroupEnd()
-}
-
+// evict drops one unpinned frame. The no-steal rule: an unlogged frame is
+// never a victim, because its image is in no group yet and a stolen page
+// would leave the data file holding half a mutation with no durable image
+// to redo or discard it from.
 func (b *BufferPool) evict() error {
 	switch b.policy {
 	case PolicyLRU:
 		for e := b.lru.Back(); e != nil; e = e.Prev() {
 			id := e.Value.(PageID)
 			f := b.frames[id]
-			if f == nil || f.pins > 0 || b.openGroup(f) {
+			if f == nil || f.pins > 0 || f.unlogged {
 				continue
 			}
 			b.lru.Remove(e)
@@ -312,7 +313,7 @@ func (b *BufferPool) evict() error {
 				b.clock = append(b.clock[:b.hand], b.clock[b.hand+1:]...)
 				continue
 			}
-			if f.pins > 0 || b.openGroup(f) {
+			if f.pins > 0 || f.unlogged {
 				b.hand++
 				continue
 			}
@@ -335,7 +336,7 @@ func (b *BufferPool) dropFrame(f *frame) error {
 		if b.wal != nil {
 			// WAL-before-data: the page's latest logged image must be
 			// durable before the data file can change under it.
-			if err := b.wal.SyncTo(f.pageLSN); err != nil {
+			if err := b.wal.WaitDurable(f.pageLSN); err != nil {
 				return fmt.Errorf("storage: wal sync before writeback of page %d: %w", f.id, err)
 			}
 		}
@@ -358,14 +359,14 @@ func (b *BufferPool) flush(settledOnly bool) error {
 		if !f.dirty {
 			continue
 		}
-		if settledOnly && (f.pins > 0 || b.openGroup(f)) {
+		if settledOnly && (f.pins > 0 || f.unlogged) {
 			// A pinned frame may be mid-mutation by its pinning goroutine and
-			// an open-group frame is no-steal; the quiesced second pass of the
+			// an unlogged frame is no-steal; the quiesced second pass of the
 			// checkpoint picks both up.
 			continue
 		}
 		if b.wal != nil {
-			if err := b.wal.SyncTo(f.pageLSN); err != nil {
+			if err := b.wal.WaitDurable(f.pageLSN); err != nil {
 				return fmt.Errorf("storage: wal sync before flush of page %d: %w", f.id, err)
 			}
 		}
@@ -373,7 +374,6 @@ func (b *BufferPool) flush(settledOnly bool) error {
 			return fmt.Errorf("storage: flush page %d: %w", f.id, err)
 		}
 		f.dirty = false
-		f.recLSN = 0
 		b.stats.Flushes++
 		mPoolFlushes.Inc()
 	}

@@ -121,7 +121,7 @@ func checkpointStore(pool *BufferPool, pager Pager, w *WAL) error {
 // runCrashWorkload drives the full workload over the (possibly crash-
 // injected) pager and log. Ops are committed in groups — mostly singletons,
 // but every few iterations two ops share one WAL group, the storage-level
-// shape of a geodb transaction — each group closed with EndGroup and
+// shape of a geodb transaction — each group logged with LogGroup and
 // acknowledged by one group-commit wait. It returns the acknowledged state —
 // key→version as of the last acknowledged group — plus the ops of the group
 // in flight when the crash hit, if any: an in-flight group may or may not
@@ -132,8 +132,7 @@ func runCrashWorkload(pager Pager, logf LogFile) (acked map[int]int, pending []c
 	if err != nil {
 		return nil, nil, err
 	}
-	pool := NewBufferPool(pager, crashPoolCap, PolicyLRU)
-	pool.AttachWAL(w)
+	pool := NewBufferPool(pager, crashPoolCap, PolicyLRU, w)
 	h := NewHeapFile(pool)
 	acked = map[int]int{}
 	live := map[int]int{}
@@ -160,10 +159,11 @@ func runCrashWorkload(pager Pager, logf LogFile) (acked map[int]int, pending []c
 			}
 			i++
 		}
-		if _, err := w.EndGroup(); err != nil {
+		end, err := pool.LogGroup()
+		if err != nil {
 			return acked, pending, err
 		}
-		if err := w.Commit(); err != nil {
+		if err := w.WaitDurable(end); err != nil {
 			return acked, pending, err
 		}
 		// The group commit returned: every op in the group is acknowledged.
@@ -241,7 +241,7 @@ func recoverAndVerify(t *testing.T, label string, mem *MemPager, logf *MemLogFil
 		t.Fatalf("%s: post-recovery checkpoint: %v", label, err)
 	}
 
-	pool := NewBufferPool(mem, 8, PolicyLRU)
+	pool := NewBufferPool(mem, 8, PolicyLRU, nil)
 	h := NewHeapFile(pool)
 	got := map[int]int{}
 	err = h.Scan(func(rid RID, data []byte) bool {

@@ -12,13 +12,14 @@ import (
 
 // Group-commit tests: concurrent committers must coalesce onto shared
 // fsyncs without ever weakening the per-commit durability contract, and a
-// crash mid-schedule must preserve exactly the acknowledged history. The
-// seeds only pick sleep jitter; the Go scheduler picks the interleaving, so
-// a seed does not replay a schedule. The oracles hold for any interleaving.
+// crash mid-schedule must preserve exactly the acknowledged history.
 //
-// Writers honour EndGroup's precondition the way geodb's write lock does:
-// one shared mutex serializes each AppendPage+EndGroup pair, and Commit runs
-// outside it so concurrent commits can still share an fsync.
+// In the crash oracle a seed names one interleaving: writers append only on
+// their turn, and the turns are a seeded shuffle of every writer's rounds.
+// Commits wait outside the turns, so concurrent commits still share an
+// fsync; how they coalesce is up to the Go scheduler, but it never changes
+// which bytes the log holds. One seed therefore writes one log, and a
+// crashed run leaves a byte prefix of it.
 
 // slowLogFile wraps a LogFile, counting Sync calls and delaying each one so
 // concurrent committers pile up behind the in-flight fsync round.
@@ -52,21 +53,15 @@ func gcPage(w, v int) *Page {
 
 func gcPageID(w int) PageID { return PageID(100 + w) }
 
-// appendGroup appends writer wr's version v as one group under mu, the lock
-// that keeps concurrent writers' groups from interleaving in the log.
-func appendGroup(mu *sync.Mutex, w *WAL, wr, v int) (LSN, error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, err := w.AppendPage(gcPageID(wr), gcPage(wr, v)); err != nil {
-		return 0, err
-	}
-	return w.EndGroup()
+// appendGroup appends writer wr's version v as one single-page group.
+func appendGroup(w *WAL, wr, v int) (LSN, error) {
+	return w.AppendGroup([]PageImage{{ID: gcPageID(wr), Page: gcPage(wr, v)}})
 }
 
 // TestWALGroupCommitCoalesces: with many committers contending on a slow
 // log device, the leader/follower handoff must amortize fsyncs — strictly
-// fewer syncs than commits — while every Commit still returns only after
-// its own group marker is durable.
+// fewer syncs than commits — while every WaitDurable still returns only
+// after its own group marker is durable.
 func TestWALGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
 	const rounds = 16
@@ -78,23 +73,22 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 	grouped0 := mWALGroupCommits.Value()
 
 	var wg sync.WaitGroup
-	var groupMu sync.Mutex
 	errs := make([]error, writers)
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for v := 0; v < rounds; v++ {
-				end, err := appendGroup(&groupMu, w, i, v)
+				end, err := appendGroup(w, i, v)
 				if err != nil {
 					errs[i] = err
 					return
 				}
-				if err := w.Commit(); err != nil {
+				if err := w.WaitDurable(end); err != nil {
 					errs[i] = err
 					return
 				}
-				if durable := w.SyncedLSN(); durable < end {
+				if durable := w.Durable(); durable < end {
 					errs[i] = fmt.Errorf("commit of group %d acked at durable LSN %d", end, durable)
 					return
 				}
@@ -123,15 +117,31 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 }
 
 // gcAcked is one writer's acknowledged history: the highest version whose
-// Commit returned, and the highest version it ever attempted.
+// commit wait returned, and the highest version it ever attempted.
 type gcAcked struct {
 	acked     int
 	attempted int
 }
 
+// gcSchedule is the seeded append order: writer wr appears once per round,
+// and the order is a shuffle of every writer's rounds.
+func gcSchedule(writers, rounds int, seed int64) []int {
+	order := make([]int, 0, writers*rounds)
+	for wr := 0; wr < writers; wr++ {
+		for v := 0; v < rounds; v++ {
+			order = append(order, wr)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
 // runGroupCommitSchedule drives `writers` concurrent committers over a
-// crash-injected log with per-writer sleep jitter drawn from seed, until
-// each finishes `rounds` commits or the injected crash kills the log. It
+// (possibly crash-injected) log, each appending only on its turns in
+// gcSchedule's order and waiting for its commit outside the turn, until
+// every turn is taken. A writer whose append or commit fails — the injected
+// crash — leaves the schedule, and its remaining turns are skipped. It
 // returns each writer's history (acked = -1 when nothing was acknowledged).
 func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, seed int64) []gcAcked {
 	t.Helper()
@@ -140,26 +150,38 @@ func runGroupCommitSchedule(t *testing.T, logf LogFile, writers, rounds int, see
 		t.Fatal(err)
 	}
 	hist := make([]gcAcked, writers)
+	turn := make([]chan struct{}, writers)
+	left := make([]chan struct{}, writers)
+	appended := make(chan struct{})
 	var wg sync.WaitGroup
-	var groupMu sync.Mutex
 	for i := 0; i < writers; i++ {
 		hist[i] = gcAcked{acked: -1, attempted: -1}
+		turn[i], left[i] = make(chan struct{}), make(chan struct{})
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*31 + int64(i)))
+			defer close(left[i])
 			for v := 0; v < rounds; v++ {
-				time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
+				<-turn[i]
 				hist[i].attempted = v
-				if _, err := appendGroup(&groupMu, w, i, v); err != nil {
+				end, err := appendGroup(w, i, v)
+				appended <- struct{}{} // the turn ends with the append
+				if err != nil {
 					return
 				}
-				if err := w.Commit(); err != nil {
+				if err := w.WaitDurable(end); err != nil {
 					return
 				}
 				hist[i].acked = v
 			}
 		}(i)
+	}
+	for _, wr := range gcSchedule(writers, rounds, seed) {
+		select {
+		case turn[wr] <- struct{}{}:
+			<-appended
+		case <-left[wr]:
+		}
 	}
 	wg.Wait()
 	return hist
@@ -232,14 +254,33 @@ func verifyGroupCommitHistory(t *testing.T, label string, logf *MemLogFile, hist
 }
 
 // TestWALGroupCommitCrashOracle is the concurrent-committer crash matrix:
-// jittered schedules of contending committers are killed at points spread
+// seeded schedules of contending committers are killed at points spread
 // across the log's IO timeline (clean and torn), and recovery must surface
 // exactly a marker-terminated prefix covering every acknowledged commit.
+// Each seed's schedule is replayable: two runs without a crash write
+// byte-identical logs, and every crashed run's recovered log is a byte
+// prefix of that log.
 func TestWALGroupCommitCrashOracle(t *testing.T) {
 	const writers = 4
 	const rounds = 20
 	kills := []int{3, 9, 17, 31, 52, 77, 103, 139}
 	for _, seed := range []int64{1, 1997} {
+		var clean []byte
+		for run := 0; run < 2; run++ {
+			logf := NewMemLogFile()
+			hist := runGroupCommitSchedule(t, logf, writers, rounds, seed)
+			for i, h := range hist {
+				if h.acked != rounds-1 {
+					t.Fatalf("seed=%d: writer %d finished at v%d without a crash", seed, i, h.acked)
+				}
+			}
+			verifyGroupCommitHistory(t, fmt.Sprintf("seed=%d no-crash", seed), logf, hist)
+			if run == 0 {
+				clean = logf.Bytes()
+			} else if !bytes.Equal(logf.Bytes(), clean) {
+				t.Fatalf("seed=%d: two runs without a crash wrote different logs", seed)
+			}
+		}
 		for _, torn := range []bool{false, true} {
 			for _, k := range kills {
 				label := fmt.Sprintf("seed=%d kill@%d torn=%v", seed, k, torn)
@@ -250,16 +291,10 @@ func TestWALGroupCommitCrashOracle(t *testing.T) {
 					t.Fatalf("%s: schedule finished before the kill point", label)
 				}
 				verifyGroupCommitHistory(t, label, logf, hist)
+				if !bytes.HasPrefix(clean, logf.Bytes()) {
+					t.Fatalf("%s: recovered log is not a prefix of the seed's log", label)
+				}
 			}
 		}
 	}
-	// And one full run with no crash: everything acked, everything recovered.
-	logf := NewMemLogFile()
-	hist := runGroupCommitSchedule(t, logf, writers, rounds, 7)
-	for i, h := range hist {
-		if h.acked != rounds-1 {
-			t.Fatalf("writer %d finished at v%d without a crash", i, h.acked)
-		}
-	}
-	verifyGroupCommitHistory(t, "no-crash", logf, hist)
 }

@@ -247,7 +247,7 @@ func TestFilePagerPersists(t *testing.T) {
 }
 
 func newTestPool(capacity int, policy ReplacementPolicy) *BufferPool {
-	return NewBufferPool(NewMemPager(), capacity, policy)
+	return NewBufferPool(NewMemPager(), capacity, policy, nil)
 }
 
 func TestBufferPoolHitMiss(t *testing.T) {
@@ -271,7 +271,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 
 func TestBufferPoolEvictionWritesBack(t *testing.T) {
 	pager := NewMemPager()
-	pool := NewBufferPool(pager, 2, PolicyLRU)
+	pool := NewBufferPool(pager, 2, PolicyLRU, nil)
 	var ids []PageID
 	for i := 0; i < 3; i++ {
 		id, page, err := pool.Allocate()
@@ -337,7 +337,7 @@ func TestBufferPoolPolicies(t *testing.T) {
 	for _, policy := range []ReplacementPolicy{PolicyLRU, PolicyClock} {
 		t.Run(policy.String(), func(t *testing.T) {
 			pager := NewMemPager()
-			pool := NewBufferPool(pager, 4, policy)
+			pool := NewBufferPool(pager, 4, policy, nil)
 			// Create 16 pages with distinct content.
 			for i := 0; i < 16; i++ {
 				id, page, err := pool.Allocate()
@@ -372,7 +372,7 @@ func TestBufferPoolPolicies(t *testing.T) {
 func TestHitRatioImprovesWithCapacity(t *testing.T) {
 	run := func(capacity int) float64 {
 		pager := NewMemPager()
-		pool := NewBufferPool(pager, capacity, PolicyLRU)
+		pool := NewBufferPool(pager, capacity, PolicyLRU, nil)
 		for i := 0; i < 32; i++ {
 			id, _, _ := pool.Allocate()
 			pool.Unpin(id, true)
@@ -422,7 +422,7 @@ func preparePages(t *testing.T, pager Pager, n int) []PageID {
 func TestBufferPoolFlushWritesBack(t *testing.T) {
 	pager := NewMemPager()
 	ids := preparePages(t, pager, 12)
-	pool := NewBufferPool(pager, 32, PolicyLRU)
+	pool := NewBufferPool(pager, 32, PolicyLRU, nil)
 
 	for i, id := range ids {
 		p, err := pool.Fetch(id)
@@ -462,7 +462,7 @@ func TestBufferPoolFlushWritesBack(t *testing.T) {
 func TestBufferPoolConcurrentFetch(t *testing.T) {
 	pager := NewMemPager()
 	ids := preparePages(t, pager, 64)
-	pool := NewBufferPool(pager, 32, PolicyClock)
+	pool := NewBufferPool(pager, 32, PolicyClock, nil)
 
 	const workers, rounds = 8, 200
 	var wg sync.WaitGroup
@@ -600,7 +600,7 @@ func TestHeapFileOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewBufferPool(fp, 4, PolicyLRU)
+	pool := NewBufferPool(fp, 4, PolicyLRU, nil)
 	h := NewHeapFile(pool)
 	var rids []RID
 	for i := 0; i < 300; i++ {
@@ -618,7 +618,7 @@ func TestHeapFileOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool2 := NewBufferPool(fp2, 4, PolicyLRU)
+	pool2 := NewBufferPool(fp2, 4, PolicyLRU, nil)
 	defer pool2.Close()
 	h2 := NewHeapFile(pool2)
 	for i, rid := range rids {

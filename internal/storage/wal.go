@@ -1,12 +1,15 @@
-// Write-ahead logging. The WAL is a redo-only log of full page images:
-// before any acknowledged mutation, the after-image of every page the
-// mutation dirtied is appended (by the buffer pool, at unpin time) and made
-// durable by the commit point. The buffer pool enforces WAL-before-data: a
-// dirty page is never written back to the pager until the log covering its
-// latest image is synced, so any torn or lost data-page write has a durable
-// image to redo from. Checkpoints flush every dirty page, sync the pager,
-// and truncate the log, which bounds replay at the next Open to the
-// mutations since the last checkpoint (DESIGN.md §11).
+// Write-ahead logging. The WAL is a redo-only log of full page images. The
+// unit it accepts is a group — one mutation or one transaction: AppendGroup
+// appends the after-image of every page the group dirtied and then a commit
+// marker, all under one hold of the log lock, so no other group's records
+// can interleave. The buffer pool is its only caller (BufferPool.LogGroup),
+// and a committer acknowledges once WaitDurable covers the group's marker.
+// The pool also enforces WAL-before-data: a dirty page is never written
+// back to the pager until the log covering its latest image is synced, so
+// any torn or lost data-page write has a durable image to redo from.
+// Checkpoints flush every dirty page, sync the pager, and truncate the log,
+// which bounds replay at the next Open to the mutations since the last
+// checkpoint (DESIGN.md §11).
 //
 // Commit durability is group commit (DESIGN.md §15): concurrent committers
 // do not each fsync. The first committer to find no fsync in flight becomes
@@ -17,7 +20,10 @@
 // committer whose records landed after the leader captured its goal simply
 // leads (or joins) the next round. Appends proceed concurrently with the
 // in-flight fsync, which is what lets durable write throughput scale with
-// the number of writers instead of serializing behind the log mutex.
+// the number of writers instead of serializing behind the log mutex. The
+// tail a round captures is read under the same lock AppendGroup holds, so
+// every durable LSN is a group end: the durable log is always a prefix of
+// whole groups.
 //
 // Record framing, little-endian:
 //
@@ -28,14 +34,14 @@
 //	[17:..) payload
 //
 // Page-image payloads are a uint32 page id followed by the PageSize image.
-// Commit markers (recCommit, empty payload) terminate one mutation group's
-// run of page images: EndGroup appends one, and recovery treats any trailing
-// records after the last marker as an unfinished group and discards them —
-// an acknowledged commit is exactly a group whose marker reached the disk.
-// LSNs increase strictly within a log generation; a decoder that sees a CRC
-// mismatch, an impossible length, or a non-monotonic LSN treats the rest of
-// the log as a torn tail and truncates it — crash mid-append must never
-// corrupt recovery, only lose the unacknowledged tail.
+// Commit markers (recCommit, empty payload) terminate one group's run of
+// page images, and recovery treats any trailing records after the last
+// marker as an unfinished group and discards them — an acknowledged commit
+// is exactly a group whose marker reached the disk. LSNs increase strictly
+// within a log generation; a decoder that sees a CRC mismatch, an
+// impossible length, or a non-monotonic LSN treats the rest of the log as a
+// torn tail and truncates it — crash mid-append must never corrupt
+// recovery, only lose the unacknowledged tail.
 package storage
 
 import (
@@ -130,31 +136,25 @@ func OpenLogFile(path string) (LogFile, error) {
 // WAL is a redo write-ahead log over a LogFile. All methods are safe for
 // concurrent use.
 type WAL struct {
-	mu         sync.Mutex
-	syncCond   *sync.Cond // broadcast when synced advances or the leader slot frees
-	syncing    bool       // a leader's fsync is in flight (mu released around it)
-	f          LogFile
-	off        int64 // append offset
-	nextLSN    LSN
-	appended   LSN // LSN of the last appended record
-	synced     LSN // LSN through which the log is durable
-	replayed   int // records applied by the last Replay
-	generation int // truncation count, for diagnostics
+	mu       sync.Mutex
+	syncCond *sync.Cond // broadcast when synced advances or the leader slot frees
+	syncing  bool       // a leader's fsync is in flight (mu released around it)
+	f        LogFile
+	off      int64 // append offset
+	nextLSN  LSN
+	// tail is the LSN of the last group end: a commit or checkpoint marker.
+	// It moves only when a whole group is in the log, so the goal a sync
+	// round captures, and with it every durable LSN, is a group end.
+	tail      LSN
+	synced    LSN // LSN through which the log is durable
+	onAppend  func(Record)
+	onDurable func(LSN)
+}
 
-	// Group tracking for replication and recovery. A "group" is one
-	// mutation's run of records: geodb appends them while holding its write
-	// lock and calls EndGroup — which appends a recCommit marker — before
-	// releasing it, so groups are contiguous in the log and self-terminating.
-	// boundary is the largest group-end LSN that is durable — the largest
-	// prefix of the log that contains no partial mutation, which is what a
-	// replica may safely expose to readers. pendingEnds holds closed group
-	// ends not yet covered by a sync, in ascending LSN order.
-	lastGroupEnd LSN
-	pendingEnds  []LSN
-	boundary     LSN
-	onAppend     func(Record)
-	onDurable    func(LSN)
-	onBoundary   func(LSN)
+// PageImage is one page's after-image in a group handed to AppendGroup.
+type PageImage struct {
+	ID   PageID
+	Page *Page
 }
 
 // Record is one log record as a log consumer — the replication ship loop —
@@ -219,10 +219,8 @@ func OpenWAL(f LogFile) (*WAL, error) {
 		if len(recs) > 0 {
 			last := recs[len(recs)-1].lsn
 			w.nextLSN = last + 1
-			w.appended = last
+			w.tail = last
 			w.synced = last // it is on stable storage by definition
-			w.lastGroupEnd = last
-			w.boundary = last
 		}
 		if int64(valid) < size {
 			// Torn tail or unfinished group from a crash: discard it now so
@@ -301,16 +299,33 @@ func encodeRecord(lsn LSN, typ byte, payload []byte) []byte {
 	return buf
 }
 
-// AppendPage logs the after-image of page id and returns its LSN. The
-// record is buffered in the OS until a commit, sync or writeback gate makes
-// it durable.
-func (w *WAL) AppendPage(id PageID, p *Page) (LSN, error) {
-	payload := make([]byte, 4+PageSize)
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(id))
-	copy(payload[4:], p[:])
+// AppendGroup logs one group: the after-image of every page in pages, in
+// order, then a commit marker, under one hold of the log lock. It returns
+// the marker's LSN, the group end a committer passes to WaitDurable before
+// acknowledging. Recovery applies the group if and only if its marker
+// reached the disk, so a crash mid-group loses the whole group and nothing
+// else. The images are copied before AppendGroup returns. An empty group
+// appends nothing and returns the last group end.
+func (w *WAL) AppendGroup(pages []PageImage) (LSN, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.appendLocked(recPageImage, payload)
+	if len(pages) == 0 {
+		return w.tail, nil
+	}
+	for _, pi := range pages {
+		payload := make([]byte, 4+PageSize)
+		binary.LittleEndian.PutUint32(payload[0:4], uint32(pi.ID))
+		copy(payload[4:], pi.Page[:])
+		if _, err := w.appendLocked(recPageImage, payload); err != nil {
+			return 0, err
+		}
+	}
+	end, err := w.appendLocked(recCommit, nil)
+	if err != nil {
+		return 0, err
+	}
+	w.tail = end
+	return end, nil
 }
 
 func (w *WAL) appendLocked(typ byte, payload []byte) (LSN, error) {
@@ -321,7 +336,6 @@ func (w *WAL) appendLocked(typ byte, payload []byte) (LSN, error) {
 	}
 	w.off += int64(len(buf))
 	w.nextLSN++
-	w.appended = lsn
 	mWALAppends.Inc()
 	if w.onAppend != nil {
 		w.onAppend(toRecord(walRecord{lsn: lsn, typ: typ, payload: append([]byte(nil), payload...)}))
@@ -348,106 +362,12 @@ func (w *WAL) OnDurable(fn func(LSN)) {
 	w.onDurable = fn
 }
 
-// OnBoundary registers fn to observe every advance of the replication
-// boundary (see EndGroup). fn runs under the WAL lock and must not block or
-// call back into the WAL.
-func (w *WAL) OnBoundary(fn func(LSN)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.onBoundary = fn
-}
-
-// EndGroup closes one mutation's record group by appending a recCommit
-// marker and returns the marker's LSN — the group-end the committer must
-// wait on (WaitDurable) before acknowledging. The caller must still hold
-// whatever lock serialized the group's appends (geodb's write lock), so no
-// other mutation's records can interleave before the marker. Recovery
-// discards trailing records past the last marker, so a group is applied at
-// replay if and only if its marker reached the disk: an eviction-forced
-// sync may make a partial group durable, but never a recoverable one. A
-// group with no appends since the last marker is a no-op returning the
-// previous group end.
-func (w *WAL) EndGroup() (LSN, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.endGroupLocked()
-}
-
-func (w *WAL) endGroupLocked() (LSN, error) {
-	if w.appended == w.lastGroupEnd {
-		return w.lastGroupEnd, nil
-	}
-	lsn, err := w.appendLocked(recCommit, nil)
-	if err != nil {
-		return 0, err
-	}
-	w.lastGroupEnd = lsn
-	if lsn <= w.synced {
-		w.advanceBoundaryLocked(lsn)
-	} else {
-		w.pendingEnds = append(w.pendingEnds, lsn)
-	}
-	return lsn, nil
-}
-
-// LastGroupEnd reports the LSN of the last group marker — records above it
-// belong to the currently open group. The buffer pool uses it as its
-// no-steal gate: a dirty page whose latest image is above this LSN belongs
-// to an uncommitted group and must not be written back to the data file,
-// or a crash would leave the data file holding half a mutation that replay
-// (which discards unfinished groups) cannot undo.
-func (w *WAL) LastGroupEnd() LSN {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastGroupEnd
-}
-
-// Boundary reports the largest durable group-end LSN.
-func (w *WAL) Boundary() LSN {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.boundary
-}
-
-func (w *WAL) advanceBoundaryLocked(lsn LSN) {
-	if lsn > w.boundary {
-		w.boundary = lsn
-		if w.onBoundary != nil {
-			w.onBoundary(lsn)
-		}
-	}
-}
-
-// Commit makes the log durable through the last append — the
-// acknowledged-mutation point. Concurrent committers coalesce via the
-// group-commit protocol (see waitDurable); every Commit that returns nil
-// guarantees its caller's records, group marker included, are on stable
-// storage.
-func (w *WAL) Commit() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.waitDurableLocked(w.appended)
-}
-
 // WaitDurable blocks until the log is durable through at least lsn,
-// joining (or leading) the in-flight group commit. This is the precise
-// acknowledgement gate for a committer that knows its group-end LSN: it
-// never waits for records appended after its own group.
+// joining (or leading) the in-flight group commit. It is both the commit
+// point — a committer waits on its group end — and the WAL-before-data gate
+// the buffer pool passes before writing back a page whose latest image is
+// lsn. Already-durable LSNs are free.
 func (w *WAL) WaitDurable(lsn LSN) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.waitDurableLocked(lsn)
-}
-
-// Sync forces the log durable through the last append.
-func (w *WAL) Sync() error {
-	return w.Commit()
-}
-
-// SyncTo makes the log durable through at least lsn. It is the
-// WAL-before-data gate: the buffer pool calls it before writing back a
-// dirty page whose latest image is lsn. Already-synced LSNs are free.
-func (w *WAL) SyncTo(lsn LSN) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.waitDurableLocked(lsn)
@@ -485,7 +405,7 @@ func (w *WAL) waitDurableLocked(target LSN) error {
 // and wakes every parked follower. Returns with w.mu held either way.
 func (w *WAL) leadSyncRound() error {
 	w.syncing = true
-	goal := w.appended
+	goal := w.tail
 	sw := obs.Start(mWALFsyncSeconds)
 	w.mu.Unlock()
 	err := w.f.Sync()
@@ -502,38 +422,22 @@ func (w *WAL) leadSyncRound() error {
 	return nil
 }
 
-// advanceDurableLocked publishes a new durable LSN: observers fire, and the
-// replication boundary moves to the largest closed group end now covered.
+// advanceDurableLocked publishes a new durable LSN to the observer.
 func (w *WAL) advanceDurableLocked(goal LSN) {
 	w.synced = goal
 	mWALSyncs.Inc()
 	if w.onDurable != nil {
 		w.onDurable(goal)
 	}
-	i := 0
-	for i < len(w.pendingEnds) && w.pendingEnds[i] <= goal {
-		i++
-	}
-	if i > 0 {
-		end := w.pendingEnds[i-1]
-		w.pendingEnds = append(w.pendingEnds[:0], w.pendingEnds[i:]...)
-		w.advanceBoundaryLocked(end)
-	}
 }
 
-// SyncedLSN reports the LSN through which the log is durable.
-func (w *WAL) SyncedLSN() LSN {
+// Durable reports the LSN through which the log is durable, always a group
+// end. A replication primary only ever streams records at or below it, so
+// a replica can never apply state the primary might lose in a crash.
+func (w *WAL) Durable() LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.synced
-}
-
-// Durable reports the LSN through which the log is durable — the replication
-// ship loop's name for SyncedLSN: a primary only ever streams records at or
-// below this bound, so a replica can never apply state the primary might
-// lose in a crash.
-func (w *WAL) Durable() LSN {
-	return w.SyncedLSN()
 }
 
 // ReadFrom decodes the records still present in the log with LSN >= from,
@@ -586,7 +490,6 @@ func (w *WAL) Replay(apply func(id PageID, p *Page) error) (int, error) {
 		n++
 		mWALReplayed.Inc()
 	}
-	w.replayed = n
 	return n, nil
 }
 
@@ -603,13 +506,6 @@ func (w *WAL) ReplayInto(pager Pager) (int, error) {
 	})
 }
 
-// Replayed reports how many records the last Replay applied.
-func (w *WAL) Replayed() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.replayed
-}
-
 // Checkpoint truncates the log and stamps a durable checkpoint marker.
 // Callers must have flushed every dirty page and synced the pager first,
 // with mutations excluded until Checkpoint returns (geodb.DB.Checkpoint
@@ -623,7 +519,6 @@ func (w *WAL) Checkpoint() error {
 		return fmt.Errorf("storage: wal truncate: %w", err)
 	}
 	w.off = 0
-	w.generation++
 	mWALTruncations.Inc()
 	// Stamp the new generation so even an untouched post-checkpoint log is
 	// self-describing (and the decoder has a second record type to chew on).
@@ -638,20 +533,12 @@ func (w *WAL) Checkpoint() error {
 	if serr != nil {
 		return fmt.Errorf("storage: wal checkpoint sync: %w", serr)
 	}
-	w.synced = lsn
-	mWALSyncs.Inc()
+	w.tail = lsn
+	w.advanceDurableLocked(lsn)
 	mWALCheckpoints.Inc()
-	if w.onDurable != nil {
-		w.onDurable(lsn)
-	}
-	// The marker is its own group (Checkpoint runs under the database write
-	// lock, so no mutation is mid-append) and it is durable. Committers
-	// parked on earlier LSNs are satisfied by the truncation itself — their
-	// groups were flushed into the data file before the log was cut — so
-	// wake them.
-	w.lastGroupEnd = lsn
-	w.pendingEnds = w.pendingEnds[:0]
-	w.advanceBoundaryLocked(lsn)
+	// The marker is its own durable group. Committers parked on earlier
+	// LSNs are satisfied by the truncation itself — their groups were
+	// flushed into the data file before the log was cut — so wake them.
 	w.syncCond.Broadcast()
 	return nil
 }
@@ -663,16 +550,11 @@ func (w *WAL) Size() int64 {
 	return w.off
 }
 
-// Close ends the open group (a clean shutdown commits what was appended),
-// makes the log durable through the last append and closes the file.
+// Close makes the log durable through the last group and closes the file.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.endGroupLocked(); err != nil {
-		_ = w.f.Close()
-		return err
-	}
-	if err := w.waitDurableLocked(w.appended); err != nil {
+	if err := w.waitDurableLocked(w.tail); err != nil {
 		_ = w.f.Close()
 		return err
 	}
