@@ -46,11 +46,14 @@ lint:
 		echo "gislint missed the seeded triggering cycle"; exit 1; fi
 
 # Short fuzz smoke over the torn-input decoders: the wire-protocol frame
-# reader and the WAL record scanner. Deeper runs raise -fuzztime, e.g.
+# reader and the WAL record scanner. -fuzzminimizetime bounds how long a
+# new interesting input is minimized; unbounded, FuzzWALDecode spent all but
+# its first 3 s of the budget minimizing instead of fuzzing. Deeper runs
+# raise -fuzztime, e.g.
 # `go test -fuzz=FuzzWALDecode -fuzztime=5m ./internal/storage`.
 fuzz:
-	go test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/proto
-	go test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/storage
+	go test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
+	go test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 
 # Per-package coverage floor over the packages that guard data: storage
 # (WAL, crash matrix), the database, the rule engine, the wire protocol —
@@ -91,11 +94,17 @@ repl-smoke:
 	go test -race -count=1 -run 'TestShipStreamFaultMatrix|TestHungPrimaryCannotWedgeApply' ./internal/repl
 	go test -race -count=1 -run 'TestTopologyStalledReplicaPoisonedAndEvicted' ./internal/client
 
-# Group-commit flake sweep (DESIGN.md §15): the concurrent-committer
-# linearizability oracle + crash matrix, the group-end durability and
-# pool no-steal tests, the transaction tests, the window-query/delete race
-# and the replica consistency oracles, each run five times under -race so
-# an interleaving-dependent failure cannot hide behind one lucky run.
+# Flake sweep: the tests whose verdict depends on an interleaving, each run
+# five times under -race so an interleaving-dependent failure cannot hide
+# behind one lucky run. Storage (DESIGN.md §15): the concurrent-committer
+# linearizability oracle + crash matrix, the group-end durability and pool
+# no-steal tests, the transaction tests, the window-query/delete race and
+# the replica consistency oracles. Rule selection (DESIGN.md §10): two
+# same-context sessions in process and over TCP, the cascade that must not
+# answer the caller, dispatch under rule churn, and concurrent sessions.
 txn-smoke:
 	go test -race -count=5 -run 'TestWALGroupCommit|TestWALDurableIsGroupEnd|TestBufferPoolLogGroup|TestTxn|TestWindowConcurrentDelete' ./internal/storage ./internal/geodb
 	go test -race -count=5 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl
+	go test -race -count=5 -run 'TestSameContextSelectionsStayWithTheirCall' ./internal/server
+	go test -race -count=5 -run 'TestCascadedSelectionAnswersNoCaller|TestCacheSoundUnderConcurrentMutation' ./internal/active
+	go test -race -count=5 -run 'TestConcurrentSessions' ./internal/ui

@@ -125,10 +125,9 @@ func benchRuleSelection(b *testing.B, contexts int, indexed bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := engine.HandleEvent(probe); err != nil {
+		if _, err := engine.Select(probe); err != nil {
 			b.Fatal(err)
 		}
-		engine.TakeCustomization(probe)
 	}
 }
 
@@ -531,10 +530,9 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := engine.HandleEvent(probe); err != nil {
+			if _, err := engine.Select(probe); err != nil {
 				b.Fatal(err)
 			}
-			engine.TakeCustomization(probe)
 		}
 	})
 	b.Run("dispatch-spans", func(b *testing.B) {
@@ -548,10 +546,9 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := engine.HandleEvent(probe); err != nil {
+			if _, err := engine.Select(probe); err != nil {
 				b.Fatal(err)
 			}
-			engine.TakeCustomization(probe)
 		}
 	})
 }

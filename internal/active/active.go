@@ -35,7 +35,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/catalog"
 	"repro/internal/event"
 	"repro/internal/obs"
 	"repro/internal/ruleanalysis"
@@ -71,10 +70,6 @@ var (
 	mCacheMisses        = obs.Default().Counter("gis_rule_cache_misses_total")
 	mCacheInvalidations = obs.Default().Counter("gis_rule_cache_invalidations_total")
 	mCacheUncacheable   = obs.Default().Counter("gis_rule_cache_uncacheable_total")
-	// mPendingDropped counts undelivered customizations evicted from the
-	// bounded pending map (a caller dispatched events but never claimed the
-	// selections via TakeCustomization).
-	mPendingDropped = obs.Default().Counter("gis_rule_pending_dropped_total")
 )
 
 // Errors returned by the engine.
@@ -347,9 +342,6 @@ type CacheStats struct {
 	Uncacheable uint64
 	// Invalidations counts epoch bumps (one per rule mutation).
 	Invalidations uint64
-	// PendingDropped counts unclaimed customizations evicted from the
-	// bounded pending map.
-	PendingDropped uint64
 }
 
 // HitRatio returns Hits / (Hits + Misses + Uncacheable), or 0 when idle.
@@ -367,18 +359,11 @@ func (s CacheStats) HitRatio() float64 {
 type engineStats struct {
 	events, evaluated, fired, selected, suppressed atomic.Uint64
 
-	cacheHits, cacheMisses, cacheUncacheable atomic.Uint64
-	cacheInvalidations, pendingDropped       atomic.Uint64
+	cacheHits, cacheMisses, cacheUncacheable, cacheInvalidations atomic.Uint64
 }
 
 // DefaultMaxCascade bounds reaction-rule cascades.
 const DefaultMaxCascade = 16
-
-// DefaultMaxPending bounds the pending-customization map when MaxPending is
-// zero. Entries past the bound are evicted oldest-first; a healthy caller
-// claims every selection immediately after the emitting primitive returns,
-// so only abandoned selections are ever dropped.
-const DefaultMaxPending = 4096
 
 // maxCachedPlans bounds the decision cache. The key space is the set of
 // distinct event shapes actually dispatched, which a deployment with many
@@ -473,23 +458,6 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// pendingKey identifies an event for the pending-customization hand-off.
-// Unlike planKey it includes the instance OID: concurrent sessions fetching
-// different instances must not collide.
-type pendingKey struct {
-	kind                event.Kind
-	schema, class, attr string
-	oid                 catalog.OID
-	user, category, app string
-}
-
-func pendingKeyOf(e event.Event) pendingKey {
-	return pendingKey{
-		kind: e.Kind, schema: e.Schema, class: e.Class, attr: e.Attr, oid: e.OID,
-		user: e.Ctx.User, category: e.Ctx.Category, app: e.Ctx.Application,
-	}
-}
-
 // Engine is the active mechanism. Subscribe it to a database bus with
 // db.Bus().Subscribe(engine); it is safe for concurrent use.
 type Engine struct {
@@ -516,15 +484,6 @@ type Engine struct {
 	cacheMu sync.RWMutex
 	cache   map[planKey]*plan
 
-	// pending holds the customization selected for the most recent event
-	// with a given identity; the UI dispatcher pops it right after the
-	// database primitive returns (dispatch is synchronous, so the entry is
-	// present by then). Keyed by the full event identity including context
-	// and OID, so concurrent sessions do not collide. Bounded by MaxPending
-	// with oldest-first eviction (pendingQ is the FIFO of insertions).
-	pending  map[pendingKey]spec.Customization
-	pendingQ []pendingKey
-
 	// Indexed selects the (event kind)-indexed rule lookup; when false the
 	// engine scans every rule (the naïve baseline B1 measures against).
 	Indexed bool
@@ -542,10 +501,6 @@ type Engine struct {
 	SelectAll bool
 	// MaxCascade bounds nested reaction emissions.
 	MaxCascade int
-	// MaxPending bounds the pending-customization map; zero means
-	// DefaultMaxPending. When full, the oldest unclaimed entry is dropped
-	// (counted in gis_rule_pending_dropped_total).
-	MaxPending int
 }
 
 // Tracer exposes the engine's span tracer; attach an obs.SpanRecorder to
@@ -564,7 +519,6 @@ func NewEngine() *Engine {
 		rules:          make(map[string]*Rule),
 		byKindUser:     make(map[kindUser]*bucket),
 		cache:          make(map[planKey]*plan),
-		pending:        make(map[pendingKey]spec.Customization),
 		Indexed:        true,
 		CacheDecisions: true,
 		MaxCascade:     DefaultMaxCascade,
@@ -690,11 +644,10 @@ func (en *Engine) Stats() Stats {
 // CacheStats returns a snapshot of the engine's decision-cache counters.
 func (en *Engine) CacheStats() CacheStats {
 	return CacheStats{
-		Hits:           en.stats.cacheHits.Load(),
-		Misses:         en.stats.cacheMisses.Load(),
-		Uncacheable:    en.stats.cacheUncacheable.Load(),
-		Invalidations:  en.stats.cacheInvalidations.Load(),
-		PendingDropped: en.stats.pendingDropped.Load(),
+		Hits:          en.stats.cacheHits.Load(),
+		Misses:        en.stats.cacheMisses.Load(),
+		Uncacheable:   en.stats.cacheUncacheable.Load(),
+		Invalidations: en.stats.cacheInvalidations.Load(),
 	}
 }
 
@@ -721,12 +674,22 @@ func (en *Engine) ResetStats() {
 	en.stats.cacheMisses.Store(0)
 	en.stats.cacheUncacheable.Store(0)
 	en.stats.cacheInvalidations.Store(0)
-	en.stats.pendingDropped.Store(0)
 }
 
 // HandleEvent implements event.Handler; it is the bus-facing entry point.
 func (en *Engine) HandleEvent(e event.Event) error {
 	return en.dispatch(e, 0)
+}
+
+// Select dispatches e at depth 0, as the bus would, and returns the
+// customization it selected, or nil when no customization rule matched.
+func (en *Engine) Select(e event.Event) (*spec.Customization, error) {
+	var sel spec.Customization
+	e.Ctx.Selected = &sel
+	if err := en.dispatch(e, 0); err != nil || sel.Origin == "" {
+		return nil, err
+	}
+	return &sel, nil
 }
 
 type nestedEmitter struct {
@@ -914,7 +877,7 @@ func (en *Engine) dispatch(e event.Event, depth int) error {
 	}
 
 	// SelectAll ablation: every matching customization rule fires, least
-	// specific first, so the most specific lands last in the pending slot —
+	// specific first, so the most specific lands last in the reply slot —
 	// the reverse of sc.cust's selection order. Never cached.
 	err := en.runSelectAll(e, sc, sp, depth)
 	putScratch(sc)
@@ -945,7 +908,7 @@ func (en *Engine) run(e event.Event, best *Rule, others []*Rule, suppressed uint
 	if sp != nil {
 		sp.Set("selected", best.Name).Setf("specificity", "%d", best.specScore)
 	}
-	return en.customize(e, best)
+	return en.customize(e, best, depth)
 }
 
 // runSelectAll is the fire-every-match ablation path.
@@ -956,7 +919,7 @@ func (en *Engine) runSelectAll(e event.Event, sc *scratch, sp *obs.Span, depth i
 		return err
 	}
 	for i := len(sc.cust) - 1; i >= 0; i-- {
-		if err := en.customize(e, sc.cust[i]); err != nil {
+		if err := en.customize(e, sc.cust[i], depth); err != nil {
 			return err
 		}
 	}
@@ -982,9 +945,11 @@ func (en *Engine) fireReactions(e event.Event, others []*Rule, sp *obs.Span, dep
 	return nil
 }
 
-// customize fires one customization rule and leaves its result pending for
-// the UI dispatcher to claim.
-func (en *Engine) customize(e event.Event, r *Rule) error {
+// customize fires one customization rule and writes its result to the
+// event's reply slot. Only the event dispatched at depth 0 answers a caller:
+// a cascaded event inherits the context, slot included, but its selection
+// must not replace the one the caller asked for.
+func (en *Engine) customize(e event.Event, r *Rule, depth int) error {
 	en.countFired()
 	sw := obs.Start(mFireSeconds)
 	cust, err := r.Customize(e)
@@ -997,102 +962,15 @@ func (en *Engine) customize(e event.Event, r *Rule) error {
 	}
 	en.stats.selected.Add(1)
 	mSelected.Inc()
-	en.storePending(e, cust)
+	if depth == 0 && e.Ctx.Selected != nil {
+		*e.Ctx.Selected = cust
+	}
 	return nil
 }
 
 func (en *Engine) countFired() {
 	en.stats.fired.Add(1)
 	mFired.Inc()
-}
-
-// storePending records a selected customization for the UI dispatcher to
-// claim, evicting the oldest unclaimed entry when the bound is reached.
-func (en *Engine) storePending(e event.Event, cust spec.Customization) {
-	k := pendingKeyOf(e)
-	en.mu.Lock()
-	limit := en.MaxPending
-	if limit <= 0 {
-		limit = DefaultMaxPending
-	}
-	if _, exists := en.pending[k]; !exists && len(en.pending) >= limit {
-		en.evictPendingLocked()
-	}
-	en.pending[k] = cust
-	en.pendingQ = append(en.pendingQ, k)
-	if len(en.pendingQ) > 2*limit {
-		en.compactPendingQLocked()
-	}
-	en.mu.Unlock()
-}
-
-// evictPendingLocked drops the oldest still-unclaimed pending entry. Keys
-// already claimed via TakeCustomization linger in the FIFO until skipped
-// here or compacted. Caller holds en.mu.
-func (en *Engine) evictPendingLocked() {
-	for len(en.pendingQ) > 0 {
-		k := en.pendingQ[0]
-		en.pendingQ = en.pendingQ[1:]
-		if _, ok := en.pending[k]; ok {
-			delete(en.pending, k)
-			en.stats.pendingDropped.Add(1)
-			mPendingDropped.Inc()
-			return
-		}
-	}
-	// FIFO exhausted (every queued key was claimed or overwritten) but the
-	// map is still at the bound: drop an arbitrary entry so the bound holds.
-	for k := range en.pending {
-		delete(en.pending, k)
-		en.stats.pendingDropped.Add(1)
-		mPendingDropped.Inc()
-		return
-	}
-}
-
-// compactPendingQLocked rebuilds the FIFO keeping only the first queue
-// entry of each key still present in the map, so the queue length stays
-// O(MaxPending) even when callers claim entries promptly (claims leave
-// stale keys behind). Caller holds en.mu.
-func (en *Engine) compactPendingQLocked() {
-	seen := make(map[pendingKey]struct{}, len(en.pending))
-	kept := en.pendingQ[:0]
-	for _, k := range en.pendingQ {
-		if _, live := en.pending[k]; !live {
-			continue
-		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		kept = append(kept, k)
-	}
-	// Re-slice into a fresh array when the old backing store is mostly
-	// stale, so the discarded prefix can be collected.
-	en.pendingQ = append(make([]pendingKey, 0, len(kept)), kept...)
-}
-
-// TakeCustomization pops the customization selected for the given event, if
-// a rule fired for it. The UI dispatcher calls this immediately after the
-// database primitive that emitted the event returns; because the bus is
-// synchronous, selection has already happened on the same goroutine.
-func (en *Engine) TakeCustomization(e event.Event) (spec.Customization, bool) {
-	key := pendingKeyOf(e)
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	c, ok := en.pending[key]
-	if ok {
-		delete(en.pending, key)
-	}
-	return c, ok
-}
-
-// PendingCount reports undelivered customizations (should be 0 between
-// interactions; tests assert no leaks).
-func (en *Engine) PendingCount() int {
-	en.mu.RLock()
-	defer en.mu.RUnlock()
-	return len(en.pending)
 }
 
 // RuleInfos snapshots the installed rules in their statically analyzable

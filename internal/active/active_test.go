@@ -72,10 +72,7 @@ func TestRemoveRule(t *testing.T) {
 	}
 	// Removed rule never fires.
 	e := event.Event{Kind: event.GetSchema, Schema: "s"}
-	if err := en.HandleEvent(e); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := en.TakeCustomization(e); !ok || c.Origin != "r2" {
+	if c, ok := dispatchAndTake(t, en, e); !ok || c.Origin != "r2" {
 		t.Fatalf("customization = %+v, %v", c, ok)
 	}
 }
@@ -100,10 +97,7 @@ func TestMostSpecificRuleWins(t *testing.T) {
 	}
 	for i, c := range cases {
 		e := event.Event{Kind: event.GetSchema, Schema: "phone_net", Ctx: c.ctx}
-		if err := en.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := en.TakeCustomization(e)
+		got, ok := dispatchAndTake(t, en, e)
 		if !ok {
 			t.Fatalf("case %d: no customization", i)
 		}
@@ -119,19 +113,13 @@ func TestMostSpecificRuleWins(t *testing.T) {
 	if st.Suppressed == 0 {
 		t.Fatal("losing rules must be counted suppressed")
 	}
-	if en.PendingCount() != 0 {
-		t.Fatal("pending leak")
-	}
 }
 
 func TestNoMatchNoCustomization(t *testing.T) {
 	en := NewEngine()
 	en.AddRule(custRule("r", event.Context{User: "juliano"}, spec.DisplayNull))
 	e := event.Event{Kind: event.GetSchema, Ctx: event.Context{User: "maria"}}
-	if err := en.HandleEvent(e); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := en.TakeCustomization(e); ok {
+	if _, ok := dispatchAndTake(t, en, e); ok {
 		t.Fatal("customization for non-matching context")
 	}
 }
@@ -145,12 +133,10 @@ func TestScopeFiltering(t *testing.T) {
 	en.AddRule(r)
 	hit := event.Event{Kind: event.GetClass, Schema: "phone_net", Class: "Pole"}
 	miss := event.Event{Kind: event.GetClass, Schema: "phone_net", Class: "Duct"}
-	en.HandleEvent(hit)
-	if _, ok := en.TakeCustomization(hit); !ok {
+	if _, ok := dispatchAndTake(t, en, hit); !ok {
 		t.Fatal("scoped rule should fire for its class")
 	}
-	en.HandleEvent(miss)
-	if _, ok := en.TakeCustomization(miss); ok {
+	if _, ok := dispatchAndTake(t, en, miss); ok {
 		t.Fatal("scoped rule fired for wrong class")
 	}
 }
@@ -163,12 +149,10 @@ func TestWhenPredicate(t *testing.T) {
 	en.AddRule(r)
 	even := event.Event{Kind: event.GetValue, OID: 4}
 	odd := event.Event{Kind: event.GetValue, OID: 3}
-	en.HandleEvent(even)
-	if _, ok := en.TakeCustomization(even); !ok {
+	if _, ok := dispatchAndTake(t, en, even); !ok {
 		t.Fatal("even OID should match")
 	}
-	en.HandleEvent(odd)
-	if _, ok := en.TakeCustomization(odd); ok {
+	if _, ok := dispatchAndTake(t, en, odd); ok {
 		t.Fatal("odd OID should not match")
 	}
 }
@@ -242,6 +226,39 @@ func TestReactionCascade(t *testing.T) {
 	}
 	if len(seen) != 2 || seen[1] != "audit:audit" {
 		t.Fatalf("cascade = %v", seen)
+	}
+}
+
+// TestCascadedSelectionAnswersNoCaller pins the depth-0 rule of the reply
+// slot: a reaction on Get_Class emits a declared External event that a
+// second customization rule matches. The cascaded event inherits the
+// caller's context, slot included, yet the caller gets nil while only the
+// nested rule matches, and its own rule's customization once one does.
+func TestCascadedSelectionAnswersNoCaller(t *testing.T) {
+	en := NewEngine()
+	nested := custRule("nested", event.Context{}, spec.DisplayHierarchy)
+	nested.On = event.External
+	en.AddRule(nested)
+	en.AddRule(Rule{
+		Name: "relay", Family: FamilyReaction, On: event.GetClass,
+		Emits: []event.Pattern{{Kind: event.External}},
+		React: func(e event.Event, em Emitter) error {
+			return em.EmitNested(event.Event{Kind: event.External, Ctx: e.Ctx})
+		},
+	})
+	e := event.Event{Kind: event.GetClass, Class: "Pole", Ctx: event.Context{User: "juliano"}}
+	if c, ok := dispatchAndTake(t, en, e); ok {
+		t.Fatalf("caller got the cascaded selection %q", c.Origin)
+	}
+	own := custRule("own", event.Context{}, spec.DisplayNull)
+	own.On = event.GetClass
+	en.AddRule(own)
+	if c, _ := dispatchAndTake(t, en, e); c.Origin != "own" {
+		t.Fatalf("caller got %q, want its own rule", c.Origin)
+	}
+	// Both dispatches fired the nested rule; its selections answered no one.
+	if got := en.Stats().Selected; got != 3 {
+		t.Fatalf("selected = %d, want 3", got)
 	}
 }
 
@@ -324,10 +341,8 @@ func TestIndexedVsLinearSameResults(t *testing.T) {
 		{Kind: event.GetValue, Ctx: event.Context{User: "u3"}},
 	} {
 		a, b := build(true), build(false)
-		a.HandleEvent(e)
-		b.HandleEvent(e)
-		ca, oka := a.TakeCustomization(e)
-		cb, okb := b.TakeCustomization(e)
+		ca, oka := dispatchAndTake(t, a, e)
+		cb, okb := dispatchAndTake(t, b, e)
 		if oka != okb || ca.Origin != cb.Origin {
 			t.Fatalf("indexed/linear diverge on %s: %v/%v %q/%q", e, oka, okb, ca.Origin, cb.Origin)
 		}
@@ -347,8 +362,7 @@ func TestPriorityTiebreak(t *testing.T) {
 	en.AddRule(r1)
 	en.AddRule(r2)
 	e := event.Event{Kind: event.GetSchema, Ctx: event.Context{User: "u"}}
-	en.HandleEvent(e)
-	c, ok := en.TakeCustomization(e)
+	c, ok := dispatchAndTake(t, en, e)
 	if !ok || c.Origin != "high" {
 		t.Fatalf("tiebreak winner = %q", c.Origin)
 	}
@@ -365,8 +379,7 @@ func TestEventScopeSpecificityBreaksContextTies(t *testing.T) {
 	en.AddRule(broad)
 	en.AddRule(narrow)
 	e := event.Event{Kind: event.GetClass, Schema: "phone_net", Class: "Pole", Ctx: event.Context{User: "u"}}
-	en.HandleEvent(e)
-	if c, _ := en.TakeCustomization(e); c.Origin != "narrow" {
+	if c, _ := dispatchAndTake(t, en, e); c.Origin != "narrow" {
 		t.Fatalf("winner = %q, want narrow (class-scoped)", c.Origin)
 	}
 }
@@ -402,7 +415,6 @@ func TestTrace(t *testing.T) {
 		if err := en.HandleEvent(e); err != nil {
 			t.Fatal(err)
 		}
-		en.TakeCustomization(e)
 	}
 	var got []string
 	for _, sp := range rec.Spans() {
@@ -432,7 +444,6 @@ func TestDispatchSpans(t *testing.T) {
 	if err := en.HandleEvent(e); err != nil {
 		t.Fatal(err)
 	}
-	en.TakeCustomization(e)
 	spans := rec.Spans()
 	var dispatch, fire *obs.Span
 	for i := range spans {
@@ -461,7 +472,6 @@ func TestDispatchSpans(t *testing.T) {
 	if err := en.HandleEvent(e); err != nil {
 		t.Fatal(err)
 	}
-	en.TakeCustomization(e)
 	if rec.Total() != uint64(len(spans)) {
 		t.Error("spans recorded after detach")
 	}
@@ -473,7 +483,6 @@ func TestStatsCounters(t *testing.T) {
 	e := event.Event{Kind: event.GetSchema}
 	for i := 0; i < 10; i++ {
 		en.HandleEvent(e)
-		en.TakeCustomization(e)
 	}
 	st := en.Stats()
 	if st.Events != 10 || st.Fired != 10 || st.Selected != 10 {
@@ -513,22 +522,19 @@ func TestPaperSection4Rules(t *testing.T) {
 		},
 	})
 	eSchema := event.Event{Kind: event.GetSchema, Schema: "phone_net", Ctx: ctx}
-	en.HandleEvent(eSchema)
-	c1, ok := en.TakeCustomization(eSchema)
+	c1, ok := dispatchAndTake(t, en, eSchema)
 	if !ok || c1.Schema.Display != spec.DisplayNull || len(c1.Schema.Classes) != 1 {
 		t.Fatalf("R1 = %+v, %v", c1, ok)
 	}
 	eClass := event.Event{Kind: event.GetClass, Schema: "phone_net", Class: "Pole", Ctx: ctx}
-	en.HandleEvent(eClass)
-	c2, ok := en.TakeCustomization(eClass)
+	c2, ok := dispatchAndTake(t, en, eClass)
 	if !ok || c2.Class.Control != "poleWidget" || c2.Class.Presentation != "pointFormat" {
 		t.Fatalf("R2 = %+v, %v", c2, ok)
 	}
 	// A different user gets no customization — the generic default.
 	other := event.Event{Kind: event.GetSchema, Schema: "phone_net",
 		Ctx: event.Context{User: "maria", Application: "pole_manager"}}
-	en.HandleEvent(other)
-	if _, ok := en.TakeCustomization(other); ok {
+	if _, ok := dispatchAndTake(t, en, other); ok {
 		t.Fatal("R1 must not fire for another user")
 	}
 }
@@ -546,12 +552,10 @@ func TestSelectAllAblation(t *testing.T) {
 		Ctx: event.Context{User: "u", Category: "c", Application: "app"}}
 
 	single := build(false)
-	single.HandleEvent(e)
-	c1, ok1 := single.TakeCustomization(e)
+	c1, ok1 := dispatchAndTake(t, single, e)
 
 	all := build(true)
-	all.HandleEvent(e)
-	c2, ok2 := all.TakeCustomization(e)
+	c2, ok2 := dispatchAndTake(t, all, e)
 
 	// Both execution models deliver the most specific customization...
 	if !ok1 || !ok2 || c1.Origin != "user" || c2.Origin != "user" {
@@ -583,10 +587,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := en.HandleEvent(e); err != nil {
-				t.Fatal(err)
-			}
-			c, ok := en.TakeCustomization(e)
+			c, ok := dispatchAndTake(t, en, e)
 			if !ok || c.Origin != "alpha" {
 				t.Fatalf("indexed=%v order=%v: winner = %q (ok=%v), want alpha",
 					indexed, order, c.Origin, ok)

@@ -1,15 +1,15 @@
 // Tests for the dispatch-decision cache (DESIGN.md §10): epoch
 // invalidation on every rule mutation, the uncacheable paths (When
-// predicates, extended contexts, SelectAll), the bounded pending map, and
-// soundness under concurrent mutation (run with -race).
+// predicates, extended contexts, SelectAll), and soundness under concurrent
+// mutation (run with -race).
 package active
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/event"
 	"repro/internal/spec"
 )
@@ -18,13 +18,18 @@ func schemaProbe(ctx event.Context) event.Event {
 	return event.Event{Kind: event.GetSchema, Schema: "phone_net", Ctx: ctx}
 }
 
-// dispatchAndTake runs one event through the engine and pops its selection.
+// dispatchAndTake runs one event through the engine and returns its
+// selection.
 func dispatchAndTake(t *testing.T, en *Engine, e event.Event) (spec.Customization, bool) {
 	t.Helper()
-	if err := en.HandleEvent(e); err != nil {
+	c, err := en.Select(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return en.TakeCustomization(e)
+	if c == nil {
+		return spec.Customization{}, false
+	}
+	return *c, true
 }
 
 func TestCacheHitSkipsScanButKeepsStats(t *testing.T) {
@@ -234,114 +239,41 @@ func TestCacheDisabledEngineStoresNothing(t *testing.T) {
 	}
 }
 
-// TestPendingMapBounded is the regression test for the unbounded pending
-// map: selections never claimed via TakeCustomization must be evicted
-// oldest-first once MaxPending is reached.
-func TestPendingMapBounded(t *testing.T) {
-	en := NewEngine()
-	en.MaxPending = 4
-	en.AddRule(Rule{
-		Name: "values", Family: FamilyCustomization, On: event.GetValue,
-		Context:   event.Context{Application: "pole_manager"},
-		Customize: nilCust,
-	})
-
-	ctx := event.Context{Application: "pole_manager"}
-	mk := func(oid catalog.OID) event.Event {
-		return event.Event{Kind: event.GetValue, Schema: "phone_net", Class: "Pole", OID: oid, Ctx: ctx}
-	}
-	// 10 distinct events, none claimed: the map must stay at the bound.
-	for oid := catalog.OID(1); oid <= 10; oid++ {
-		if err := en.HandleEvent(mk(oid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := en.PendingCount(); got != 4 {
-		t.Fatalf("pending = %d, want MaxPending=4", got)
-	}
-	if dropped := en.CacheStats().PendingDropped; dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", dropped)
-	}
-	// Oldest evicted, newest still claimable.
-	if _, ok := en.TakeCustomization(mk(1)); ok {
-		t.Fatal("oldest entry survived eviction")
-	}
-	if _, ok := en.TakeCustomization(mk(10)); !ok {
-		t.Fatal("newest entry was evicted")
-	}
-	// Claimed entries free their slot: the next store must not evict.
-	en.TakeCustomization(mk(9))
-	en.TakeCustomization(mk(8))
-	before := en.CacheStats().PendingDropped
-	if err := en.HandleEvent(mk(11)); err != nil {
-		t.Fatal(err)
-	}
-	if got := en.CacheStats().PendingDropped; got != before {
-		t.Fatalf("eviction despite free slots: %d -> %d", before, got)
-	}
-}
-
-// TestPendingQueueCompaction drives many claim-then-store cycles through one
-// engine: the internal FIFO must not grow proportionally to traffic.
-func TestPendingQueueCompaction(t *testing.T) {
-	en := NewEngine()
-	en.MaxPending = 8
-	en.AddRule(Rule{
-		Name: "values", Family: FamilyCustomization, On: event.GetValue,
-		Context:   event.Context{Application: "pole_manager"},
-		Customize: nilCust,
-	})
-	ctx := event.Context{Application: "pole_manager"}
-	for i := 0; i < 10_000; i++ {
-		e := event.Event{Kind: event.GetValue, OID: catalog.OID(i % 16), Ctx: ctx}
-		if err := en.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		en.TakeCustomization(e) // claimed immediately, as the UI does
-	}
-	en.mu.Lock()
-	qlen := len(en.pendingQ)
-	en.mu.Unlock()
-	if qlen > 2*en.MaxPending {
-		t.Fatalf("pendingQ length = %d after prompt claims, want <= %d", qlen, 2*en.MaxPending)
-	}
-	if dropped := en.CacheStats().PendingDropped; dropped != 0 {
-		t.Fatalf("prompt claims still dropped %d selections", dropped)
-	}
-}
-
 // TestCacheSoundUnderConcurrentMutation hammers dispatch from several
-// goroutines while rules are added and removed. Run under -race this proves
-// the epoch protocol: whatever interleaving occurs, a dispatch after the
-// final mutation must see the final rule set.
+// goroutines, all in the one context the churned rules target, while rules
+// are added and removed. Run under -race this proves the epoch protocol and
+// the per-call reply: every dispatch returns the winner of some rule set
+// the churn passed through (generic or a churn rule, never nothing), and a
+// dispatch after the final mutation sees the final rule set.
 func TestCacheSoundUnderConcurrentMutation(t *testing.T) {
 	en := NewEngine()
 	en.AddRule(custRule("generic", event.Context{Application: "pole_manager"}, spec.DisplayDefault))
 
 	const dispatchers = 4
+	e := schemaProbe(event.Context{User: "user1", Application: "pole_manager"})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for d := 0; d < dispatchers; d++ {
 		wg.Add(1)
-		go func(d int) {
+		go func() {
 			defer wg.Done()
-			e := schemaProbe(event.Context{User: fmt.Sprintf("user%d", d), Application: "pole_manager"})
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := en.HandleEvent(e); err != nil {
+				cust, err := en.Select(e)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if cust, ok := en.TakeCustomization(e); ok && cust.Origin == "" {
-					t.Error("empty origin")
+				if cust == nil || (cust.Origin != "generic" && !strings.HasPrefix(cust.Origin, "churn")) {
+					t.Errorf("selection = %+v, want generic or a churn rule", cust)
 					return
 				}
 			}
-		}(d)
+		}()
 	}
 	for i := 0; i < 200; i++ {
 		name := fmt.Sprintf("churn%d", i)
@@ -356,7 +288,6 @@ func TestCacheSoundUnderConcurrentMutation(t *testing.T) {
 	wg.Wait()
 
 	// After the churn the only rule left is "generic": the cache must agree.
-	e := schemaProbe(event.Context{User: "user1", Application: "pole_manager"})
 	for i := 0; i < 2; i++ {
 		if cust, ok := dispatchAndTake(t, en, e); !ok || cust.Origin != "generic" {
 			t.Fatalf("post-churn origin = %q ok=%v", cust.Origin, ok)

@@ -33,11 +33,7 @@ func TestCondEnforcedAtDispatch(t *testing.T) {
 		if zoom != "" {
 			ctx.Extra = map[string]string{"zoom": zoom}
 		}
-		e := schemaProbe(ctx)
-		if err := en.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		_, ok := en.TakeCustomization(e)
+		_, ok := dispatchAndTake(t, en, schemaProbe(ctx))
 		return ok
 	}
 	if !probe("12") {
@@ -96,10 +92,7 @@ func TestDynamicCondBypassesCache(t *testing.T) {
 			Kind: event.GetValue, Schema: "phone_net", OID: oid,
 			Ctx: event.Context{Application: "pole_manager"},
 		}
-		if err := en.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		_, ok := en.TakeCustomization(e)
+		_, ok := dispatchAndTake(t, en, e)
 		return ok
 	}
 	// Same event shape, different OIDs: a cached plan would get this wrong.

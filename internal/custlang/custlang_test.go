@@ -25,6 +25,20 @@ func mustOpen(t testing.TB, opts geodb.Options) *geodb.DB {
 	return db
 }
 
+// dispatchAndTake runs one event through the engine and returns its
+// selection.
+func dispatchAndTake(t *testing.T, en *active.Engine, e event.Event) (spec.Customization, bool) {
+	t.Helper()
+	c, err := en.Select(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == nil {
+		return spec.Customization{}, false
+	}
+	return *c, true
+}
+
 // figure6 is the customization script of the paper's Figure 6, written in
 // this package's concrete syntax. The paper's shorthand source paths
 // (pole.material) are kept verbatim; the analyzer resolves them to
@@ -389,18 +403,14 @@ func TestInstallIntoEngine(t *testing.T) {
 	// End-to-end: the right customization surfaces for the right context.
 	ctx := event.Context{User: "juliano", Application: "pole_manager"}
 	e := event.Event{Kind: event.GetClass, Schema: "phone_net", Class: "Pole", Ctx: ctx}
-	if err := engine.HandleEvent(e); err != nil {
-		t.Fatal(err)
-	}
-	c, ok := engine.TakeCustomization(e)
+	c, ok := dispatchAndTake(t, engine, e)
 	if !ok || c.Class.Control != "poleWidget" {
 		t.Fatalf("customization = %+v, %v", c, ok)
 	}
 	// Wrong context: nothing fires.
 	e2 := e
 	e2.Ctx = event.Context{User: "maria", Application: "pole_manager"}
-	engine.HandleEvent(e2)
-	if _, ok := engine.TakeCustomization(e2); ok {
+	if _, ok := dispatchAndTake(t, engine, e2); ok {
 		t.Fatal("rule fired for wrong user")
 	}
 }

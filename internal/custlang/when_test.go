@@ -97,10 +97,7 @@ func TestWhenDependentSelection(t *testing.T) {
 				Extra:       map[string]string{"zoom": zoom},
 			},
 		}
-		if err := engine.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		c, ok := engine.TakeCustomization(e)
+		c, ok := dispatchAndTake(t, engine, e)
 		return c.Schema.Display, ok
 	}
 	if d, ok := probe("4"); !ok || d != spec.DisplayDefault {
@@ -112,10 +109,7 @@ func TestWhenDependentSelection(t *testing.T) {
 	// No zoom dimension: neither condition holds — no customization.
 	e := event.Event{Kind: event.GetSchema, Schema: "phone_net",
 		Ctx: event.Context{Application: "pole_manager"}}
-	if err := engine.HandleEvent(e); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := engine.TakeCustomization(e); ok {
+	if _, ok := dispatchAndTake(t, engine, e); ok {
 		t.Fatal("zoom rules fired without a zoom dimension")
 	}
 }

@@ -85,10 +85,7 @@ func TestScaleDependentSelection(t *testing.T) {
 				Extra: map[string]string{"scale": scale},
 			},
 		}
-		if err := engine.HandleEvent(e); err != nil {
-			t.Fatal(err)
-		}
-		c, ok := engine.TakeCustomization(e)
+		c, ok := dispatchAndTake(t, engine, e)
 		return c.Schema.Display, ok
 	}
 	// Generic user: the scale decides.
@@ -109,8 +106,7 @@ func TestScaleDependentSelection(t *testing.T) {
 	// No scale in the session context: no scale rule matches.
 	e := event.Event{Kind: event.GetSchema, Schema: "phone_net",
 		Ctx: event.Context{User: "maria", Application: "pole_manager"}}
-	engine.HandleEvent(e)
-	if _, ok := engine.TakeCustomization(e); ok {
+	if _, ok := dispatchAndTake(t, engine, e); ok {
 		t.Fatal("scale rules fired without a scale dimension")
 	}
 }

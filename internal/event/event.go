@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/spec"
 )
 
 // Kind enumerates the database events the active mechanism can intercept.
@@ -130,6 +131,14 @@ type Context struct {
 	// it, and it does not serialize here (the wire protocol carries it in
 	// an explicit request field instead).
 	Trace obs.SpanContext `json:"-"`
+
+	// Selected is the reply slot of one retrieval call: the caller points
+	// it at a local value before calling the primitive, and the active
+	// engine writes the customization it selects for the event dispatched
+	// at depth 0 there, so the (data, presentation) pair of §3.3 returns
+	// with the call that asked for it. Like Trace it belongs to one call:
+	// rule matching and specificity ignore it, and it never serializes.
+	Selected *spec.Customization `json:"-"`
 }
 
 // Specificity scores how restrictive the context is; the active mechanism

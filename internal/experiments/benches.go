@@ -78,11 +78,8 @@ func RunB1(w io.Writer, quick bool) error {
 			}
 			ruleCount = engine.RuleCount()
 			return timeIt(iters, func() error {
-				if err := engine.HandleEvent(probe); err != nil {
-					return err
-				}
-				engine.TakeCustomization(probe)
-				return nil
+				_, err := engine.Select(probe)
+				return err
 			})
 		}
 		indexed, err := measure(true)

@@ -64,14 +64,11 @@ func NewDispatchBench(cached bool) (*DispatchBench, error) {
 	}, nil
 }
 
-// Step dispatches the probe once and drains the pending customization,
-// mirroring what a session does per window open.
+// Step selects the probe's customization once, mirroring what a session
+// does per window open.
 func (d *DispatchBench) Step() error {
-	if err := d.Engine.HandleEvent(d.Probe); err != nil {
-		return err
-	}
-	d.Engine.TakeCustomization(d.Probe)
-	return nil
+	_, err := d.Engine.Select(d.Probe)
+	return err
 }
 
 func (d *DispatchBench) Close() error { return d.f.Close() }

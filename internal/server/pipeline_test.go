@@ -8,10 +8,15 @@ import (
 	"context"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/event"
+	"repro/internal/geodb"
 	"repro/internal/proto"
+	"repro/internal/spec"
+	"repro/internal/ui"
 )
 
 // pump writes n GetSchema requests (IDs 1..n) on conn and then reads n
@@ -35,12 +40,28 @@ func pump(t *testing.T, conn net.Conn, n int) map[uint64]proto.Response {
 	return out
 }
 
-// TestPipelineDepthRunsRequestsConcurrently: with PipelineDepth=4 and a
-// backend that sleeps, 4 pipelined requests must overlap — their total
-// latency is one delay, not four.
+// barrierBackend holds every GetSchema until all the requests counted in
+// entered have arrived: only a server that handles them at once gets past
+// the first.
+type barrierBackend struct {
+	*ui.DirectBackend
+	entered sync.WaitGroup
+}
+
+func (b *barrierBackend) GetSchema(ctx event.Context, schema string) (geodb.SchemaInfo, *spec.Customization, error) {
+	b.entered.Done()
+	b.entered.Wait()
+	return b.DirectBackend.GetSchema(ctx, schema)
+}
+
+// TestPipelineDepthRunsRequestsConcurrently: with PipelineDepth=4, 4
+// pipelined requests must all be inside the backend at once, which the
+// barrier proves without timing them. The read deadline only turns a
+// sequential server's stall into a failure instead of a hang.
 func TestPipelineDepthRunsRequestsConcurrently(t *testing.T) {
-	delay := 100 * time.Millisecond
-	srv := New(&slowBackend{DirectBackend: testBackend(t), delay: delay})
+	backend := &barrierBackend{DirectBackend: testBackend(t)}
+	backend.entered.Add(4)
+	srv := New(backend)
 	srv.PipelineDepth = 4
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -54,19 +75,13 @@ func TestPipelineDepthRunsRequestsConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 
-	start := time.Now()
 	resps := pump(t, conn, 4)
-	elapsed := time.Since(start)
 	for id := uint64(1); id <= 4; id++ {
 		if r, ok := resps[id]; !ok || r.Err != "" || r.Schema == nil {
 			t.Fatalf("response %d = %+v", id, resps[id])
 		}
-	}
-	// Sequential handling would take >= 4×delay; concurrent handling takes
-	// ~1×delay. The bound is generous for slow CI machines.
-	if elapsed >= 3*delay {
-		t.Fatalf("4 pipelined requests took %v; not handled concurrently", elapsed)
 	}
 }
 

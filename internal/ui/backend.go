@@ -55,10 +55,13 @@ type Backend interface {
 }
 
 // DirectBackend is the strong-integration binding: the UI and the DBMS share
-// a process and the backend simply pairs each primitive with the engine's
-// selected customization.
+// a process. Each retrieval points its context's Selected slot at a local
+// value before calling the primitive; the engine, subscribed to the DB's
+// bus, fills the slot while the primitive emits its event, so concurrent
+// calls of one context each get their own selection.
 type DirectBackend struct {
-	DB     *geodb.DB
+	DB *geodb.DB
+	// Engine is the active mechanism subscribed to DB's bus.
 	Engine *active.Engine
 }
 
@@ -76,16 +79,19 @@ func (b *DirectBackend) Connect(ctx event.Context) error {
 
 // GetSchema implements Backend.
 func (b *DirectBackend) GetSchema(ctx event.Context, schema string) (geodb.SchemaInfo, *spec.Customization, error) {
+	var sel spec.Customization
+	ctx.Selected = &sel
 	info, err := b.DB.GetSchema(ctx, schema)
 	if err != nil {
 		return geodb.SchemaInfo{}, nil, err
 	}
-	cust := b.take(event.Event{Kind: event.GetSchema, Schema: schema, Ctx: ctx})
-	return info, cust, nil
+	return info, selected(&sel), nil
 }
 
 // GetClass implements Backend.
 func (b *DirectBackend) GetClass(ctx event.Context, schema, class string) (ClassData, *spec.Customization, error) {
+	var sel spec.Customization
+	ctx.Selected = &sel
 	info, err := b.DB.GetClass(ctx, schema, class)
 	if err != nil {
 		return ClassData{}, nil, err
@@ -94,12 +100,13 @@ func (b *DirectBackend) GetClass(ctx event.Context, schema, class string) (Class
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	cust := b.take(event.Event{Kind: event.GetClass, Schema: schema, Class: class, Ctx: ctx})
-	return ClassData{Info: info, Instances: instances}, cust, nil
+	return ClassData{Info: info, Instances: instances}, selected(&sel), nil
 }
 
 // GetClassWindowed implements Backend.
 func (b *DirectBackend) GetClassWindowed(ctx event.Context, schema, class string, window geom.Rect) (ClassData, *spec.Customization, error) {
+	var sel spec.Customization
+	ctx.Selected = &sel
 	info, err := b.DB.GetClass(ctx, schema, class)
 	if err != nil {
 		return ClassData{}, nil, err
@@ -108,19 +115,27 @@ func (b *DirectBackend) GetClassWindowed(ctx event.Context, schema, class string
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	cust := b.take(event.Event{Kind: event.GetClass, Schema: schema, Class: class, Ctx: ctx})
-	return ClassData{Info: info, Instances: instances}, cust, nil
+	return ClassData{Info: info, Instances: instances}, selected(&sel), nil
 }
 
 // GetValue implements Backend.
 func (b *DirectBackend) GetValue(ctx event.Context, oid catalog.OID) (geodb.Instance, *spec.Customization, error) {
+	var sel spec.Customization
+	ctx.Selected = &sel
 	in, err := b.DB.GetValue(ctx, oid)
 	if err != nil {
 		return geodb.Instance{}, nil, err
 	}
-	cust := b.take(event.Event{
-		Kind: event.GetValue, Schema: in.Schema, Class: in.Class, OID: oid, Ctx: ctx})
-	return in, cust, nil
+	return in, selected(&sel), nil
+}
+
+// selected returns a retrieval's reply slot, or nil when no customization
+// rule filled it (the engine always sets Origin on a selection).
+func selected(slot *spec.Customization) *spec.Customization {
+	if slot.Origin == "" {
+		return nil
+	}
+	return slot
 }
 
 // SelectWhere implements Backend.
@@ -150,11 +165,4 @@ func (b *DirectBackend) ScenarioUpdate(ctx event.Context, oid catalog.OID, value
 // ScenarioDelete implements Mutator.
 func (b *DirectBackend) ScenarioDelete(ctx event.Context, oid catalog.OID) error {
 	return b.DB.Delete(ctx, oid)
-}
-
-func (b *DirectBackend) take(e event.Event) *spec.Customization {
-	if c, ok := b.Engine.TakeCustomization(e); ok {
-		return &c
-	}
-	return nil
 }

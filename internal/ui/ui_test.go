@@ -411,28 +411,50 @@ func TestCustomCallbackRegistration(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessions runs eight sessions, four per context, over one
+// backend. After every round each session's screen must equal the screen
+// its context renders sequentially: a session that lost its customization
+// to a sibling of the same context would draw a generic window instead.
 func TestConcurrentSessions(t *testing.T) {
 	w := newWorld(t, true)
+	contexts := []event.Context{julianoCtx(), mariaCtx()}
+	// round opens the schema, Duct and Pole windows (Figure 6 customizes
+	// Pole for juliano) and renders every open window.
+	round := func(s *Session) (string, error) {
+		if _, err := s.OpenSchema("phone_net"); err != nil {
+			return "", err
+		}
+		for _, class := range []string{"Duct", "Pole"} {
+			if _, err := s.OpenClass("phone_net", class); err != nil {
+				return "", err
+			}
+		}
+		return s.Screen(), nil
+	}
+	want := make([]string, len(contexts))
+	for i, ctx := range contexts {
+		s := NewSession(w.backend, w.builder, ctx)
+		if err := s.Connect(); err != nil {
+			t.Fatal(err)
+		}
+		screen, err := round(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = screen
+	}
+
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		i := i
 		go func() {
-			ctx := mariaCtx()
-			if i%2 == 0 {
-				ctx = julianoCtx()
-			}
-			s := NewSession(w.backend, w.builder, ctx)
+			s := NewSession(w.backend, w.builder, contexts[i%2])
 			if err := s.Connect(); err != nil {
 				done <- err
 				return
 			}
 			for j := 0; j < 20; j++ {
-				if _, err := s.OpenSchema("phone_net"); err != nil {
-					done <- err
-					return
-				}
-				if _, err := s.OpenClass("phone_net", "Duct"); err != nil {
-					done <- err
+				if screen, err := round(s); err != nil || screen != want[i%2] {
+					done <- fmt.Errorf("session %d round %d: %v; screen\n%s\nwant\n%s", i, j, err, screen, want[i%2])
 					return
 				}
 			}
@@ -443,8 +465,5 @@ func TestConcurrentSessions(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.engine.PendingCount() != 0 {
-		t.Fatalf("pending customization leak: %d", w.engine.PendingCount())
 	}
 }
