@@ -87,12 +87,11 @@ bench-test:
 	cd bench && go vet . && go test -race -count=1 .
 
 # Replication fault smoke (DESIGN.md §13): the ship stream under injected
-# partitions/corruption, and the stalled-replica failover in the topology
-# client. `make test` runs the full matrices; this re-runs just the fault
-# paths so a CI log names them explicitly.
+# partitions/corruption and a hung primary. `make test` runs the full
+# matrices; this re-runs just the fault paths so a CI log names them
+# explicitly.
 repl-smoke:
 	go test -race -count=1 -run 'TestShipStreamFaultMatrix|TestHungPrimaryCannotWedgeApply' ./internal/repl
-	go test -race -count=1 -run 'TestTopologyStalledReplicaPoisonedAndEvicted' ./internal/client
 
 # Flake sweep: the tests whose verdict depends on an interleaving, each run
 # five times under -race so an interleaving-dependent failure cannot hide

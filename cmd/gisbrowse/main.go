@@ -17,7 +17,6 @@
 //	scenario <subcmd> ...   simulation mode (start/pole/move/delete/window/commit/drop)
 //	stale / refresh         view-refresh: list and rebuild out-of-date windows
 //	stats                   per-verb latency quantiles (server's in -connect mode)
-//	repl                    replication status: role, log positions, replica lag
 //	trace [id]              list the server's retained traces, or print one span tree
 //	quit
 package main
@@ -211,8 +210,6 @@ func dispatch(s *gisui.Session, remote *client.Client, fields []string) error {
 		return nil
 	case "stats":
 		return statsCmd(remote)
-	case "repl":
-		return replCmd(remote)
 	case "trace":
 		return traceCmd(remote, fields[1:])
 	case "quit", "exit":
@@ -249,40 +246,6 @@ func statsCmd(remote *client.Client) error {
 		}
 		fmt.Printf("  %-52s %8d %8.2fms %8.2fms %8.2fms\n", name, h.Count,
 			h.Quantile(0.50)*1e3, h.Quantile(0.95)*1e3, h.Quantile(0.99)*1e3)
-	}
-	return nil
-}
-
-// replCmd prints the connected server's replication status: its role,
-// log positions and — on a primary — every attached replica with its lag.
-func replCmd(remote *client.Client) error {
-	if remote == nil {
-		return fmt.Errorf("repl requires -connect (the embedded browser does not replicate)")
-	}
-	st, err := remote.ReplStatus()
-	if err != nil {
-		return err
-	}
-	switch st.Role {
-	case "primary":
-		fmt.Printf("  role primary  run %d  durable lsn %d  replicas %d\n",
-			st.RunID, st.Durable, len(st.Replicas))
-		for _, r := range st.Replicas {
-			fmt.Printf("    %-24s acked %8d  lag %6d\n", r.Addr, r.Acked, r.Lag)
-		}
-	case "replica":
-		health := "healthy"
-		if !st.Healthy {
-			health = "UNAVAILABLE"
-		}
-		conn := "connected"
-		if !st.Connected {
-			conn = "DISCONNECTED"
-		}
-		fmt.Printf("  role replica  run %d  applied lsn %d  primary durable %d  lag %d  %s, %s\n",
-			st.RunID, st.Applied, st.PrimaryDurable, st.Lag, health, conn)
-	default:
-		fmt.Printf("  role %s\n", st.Role)
 	}
 	return nil
 }

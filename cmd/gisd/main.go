@@ -20,9 +20,6 @@ import (
 	gisui "repro"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/repl"
-	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/topo"
 	"repro/internal/workload"
 )
@@ -44,11 +41,6 @@ func main() {
 		wal        = flag.Bool("wal", true, "write-ahead logging for a -db file: acknowledged mutations survive a crash (false = flush-on-close only)")
 		ckptEvery  = flag.Int("checkpoint-every", 1024, "checkpoint (flush + truncate the WAL) after this many commits; bounds replay on restart (<0 = never)")
 
-		replListen = flag.String("repl-listen", "", "serve the WAL ship stream to replicas on this address (primary role; forces the WAL on)")
-		replicaOf  = flag.String("replica-of", "", "follow the primary's ship stream at this address and serve read-only verbs (replica role; most workload flags are ignored)")
-		maxLag     = flag.Int("max-lag", 1024, "replica: stop serving reads after falling this many WAL records behind the primary (<0 = serve regardless)")
-		slowApply  = flag.Duration("slow-apply", 0, "replica: warn when applying one record batch takes longer than this (0 = never)")
-
 		trace     = flag.Bool("trace", true, "distributed tracing: span every request tree, retain slow/error traces in the tail sampler")
 		traceSlow = flag.Int("trace-slowest", 16, "tail sampler: always retain the N slowest complete traces")
 		traceRate = flag.Float64("trace-head-rate", 0.01, "tail sampler: fraction of ordinary (fast, error-free) traces retained")
@@ -63,29 +55,14 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})).With("proc", "gisd")
 
-	if *replicaOf != "" {
-		runReplica(logger, *addr, *replicaOf, *maxLag, *slowApply, *idle, *maxConns, *pipeline, *drain, *metrics)
-		return
-	}
-
 	lib, err := workload.StandardLibrary()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := gisui.Config{
+	sys, err := gisui.Open(gisui.Config{
 		Name: "GEO", Path: *dbPath, Library: lib,
 		DisableWAL: !*wal, CheckpointEvery: *ckptEvery,
-	}
-	if *replListen != "" {
-		// A primary ships its WAL, so it must have one even in-memory.
-		if !*wal {
-			fatal(fmt.Errorf("-repl-listen requires the WAL (-wal=true)"))
-		}
-		if *dbPath == "" {
-			cfg.WALFile = storage.NewMemLogFile()
-		}
-	}
-	sys, err := gisui.Open(cfg)
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -199,23 +176,6 @@ func main() {
 	srv.PipelineDepth = *pipeline
 	srv.Log = logger
 	srv.SlowRequest = *slowReq
-	if *replListen != "" {
-		prim, err := repl.NewPrimary(sys.DB, repl.PrimaryOptions{
-			Tracer: sys.Tracer,
-			Log:    logger,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer prim.Close()
-		srv.ReplStatus = prim.Status
-		go func() {
-			if err := prim.ListenAndServe(*replListen); err != nil {
-				logger.Warn("replication listener failed", "err", err)
-			}
-		}()
-		fmt.Printf("gisd: primary shipping WAL on %s\n", *replListen)
-	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
 	sigCh := make(chan os.Signal, 1)
@@ -237,66 +197,6 @@ func main() {
 		}
 		if err := sys.Close(); err != nil {
 			fatal(err)
-		}
-	}
-}
-
-// runReplica is the -replica-of role: follow the primary's ship stream,
-// apply it into a read-only follower database, and serve the idempotent
-// retrieval verbs (plus repl_status) until signalled. Mutation verbs are
-// answered with an error directing clients to the primary; the workload,
-// directive and constraint flags do not apply — a replica's state is the
-// primary's log and nothing else.
-func runReplica(logger *slog.Logger, addr, primary string, maxLag int, slowApply, idle time.Duration, maxConns, pipeline int, drain time.Duration, metrics string) {
-	rep := repl.NewReplica(repl.ReplicaOptions{
-		Addr:      primary,
-		MaxLag:    maxLag,
-		SlowApply: slowApply,
-		Log:       logger,
-	})
-	rep.Start()
-	defer rep.Close()
-
-	srv := server.New(rep)
-	srv.IdleTimeout = idle
-	srv.MaxConns = maxConns
-	srv.PipelineDepth = pipeline
-	srv.Log = logger
-	srv.ReplStatus = rep.Status
-
-	fmt.Printf("gisd: replica of %s; serving reads on %s (max lag %d)\n", primary, addr, maxLag)
-	if metrics != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			obs.Default().WriteText(w)
-		})
-		go func() {
-			if err := http.ListenAndServe(metrics, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "gisd: metrics:", err)
-			}
-		}()
-		fmt.Printf("gisd: metrics on http://%s/metrics\n", metrics)
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(addr) }()
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if err != nil {
-			fatal(err)
-		}
-	case sig := <-sigCh:
-		fmt.Printf("gisd: %v — draining (deadline %v)\n", sig, drain)
-		ctx, cancel := context.WithTimeout(context.Background(), drain)
-		err := srv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gisd: drain incomplete, connections force-closed: %v\n", err)
-		} else {
-			fmt.Println("gisd: drained cleanly")
 		}
 	}
 }

@@ -323,8 +323,7 @@ func (c *Client) readLoop(s *session) {
 func retryable(op proto.Op) bool {
 	switch op {
 	case proto.OpConnect, proto.OpGetSchema, proto.OpGetClass,
-		proto.OpGetValue, proto.OpSelectWhere, proto.OpStats, proto.OpTrace,
-		proto.OpReplStatus:
+		proto.OpGetValue, proto.OpSelectWhere, proto.OpStats, proto.OpTrace:
 		return true
 	}
 	return false
@@ -647,20 +646,6 @@ func (c *Client) CommitTxn(ctx event.Context, ops []ui.TxnOp) ([]catalog.OID, er
 		return nil, fmt.Errorf("%w: txn answered %d oids for %d ops", proto.ErrRemote, len(resp.OIDs), len(ops))
 	}
 	return resp.OIDs, nil
-}
-
-// ReplStatus fetches the server's replication status (the repl_status
-// verb): role, applied/durable LSNs, lag and health. A server that does not
-// replicate answers with a remote error.
-func (c *Client) ReplStatus() (proto.ReplStatus, error) {
-	resp, err := c.roundTrip(proto.Request{Op: proto.OpReplStatus})
-	if err != nil {
-		return proto.ReplStatus{}, err
-	}
-	if resp.Repl == nil {
-		return proto.ReplStatus{}, fmt.Errorf("%w: missing repl payload", proto.ErrRemote)
-	}
-	return *resp.Repl, nil
 }
 
 // Traces fetches every trace retained by the server's tail sampler (the

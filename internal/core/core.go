@@ -47,10 +47,6 @@ type Config struct {
 	// CheckpointEvery bounds WAL replay: checkpoint after this many
 	// commits. 0 = default (1024), negative = no automatic checkpoints.
 	CheckpointEvery int
-	// WALFile injects the log file, enabling the WAL even for an in-memory
-	// database — a replication primary needs a log to ship regardless of
-	// where its pages live.
-	WALFile storage.LogFile
 }
 
 // System is the assembled architecture of Figure 1.
@@ -85,7 +81,6 @@ func Open(cfg Config) (*System, error) {
 		Policy:          cfg.Policy,
 		DisableWAL:      cfg.DisableWAL,
 		CheckpointEvery: cfg.CheckpointEvery,
-		WALFile:         cfg.WALFile,
 	})
 	if err != nil {
 		return nil, err

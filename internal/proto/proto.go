@@ -77,23 +77,19 @@ const (
 	// them, or — when Request.TraceID is set — just that one. Like OpStats
 	// it is an observability verb outside the paper's primitive set.
 	OpTrace Op = "trace"
-	// OpReplStatus reports the server's replication role and progress: a
-	// primary answers with its durable LSN and per-replica lag, a replica
-	// with its applied LSN and health. Idempotent, so it is in the client's
-	// retry class; the topology client's health probe rides it.
-	OpReplStatus Op = "repl_status"
 )
 
 // ReplicaUnavailableMsg prefixes every error a replica serves while it is
 // unfit to answer reads (still snapshotting, lagging beyond its bound, or
-// disconnected from the primary). It crosses the wire as the error text, so
-// the topology client string-matches it to evict the replica from the read
-// rotation — a deliberate sentinel, like io.EOF's message, not a format.
+// disconnected from the primary). Callers string-match it to tell an
+// unavailable replica from a failed read — a deliberate sentinel, like
+// io.EOF's message, not a format.
 const ReplicaUnavailableMsg = "replica unavailable"
 
-// ReplStatus answers the repl_status verb.
+// ReplStatus reports a replication endpoint's role and progress
+// (repl.Primary.Status, repl.Replica.Status).
 type ReplStatus struct {
-	// Role is "primary", "replica", or "none" (replication not enabled).
+	// Role is "primary" or "replica".
 	Role string `json:"role"`
 	// RunID identifies the primary's log lineage; a replica refuses to mix
 	// records from two lineages (see internal/repl).
@@ -182,8 +178,6 @@ type Response struct {
 	OIDs []catalog.OID `json:"oids,omitempty"`
 	// Traces answers the trace verb with the server's retained traces.
 	Traces []obs.TraceData `json:"traces,omitempty"`
-	// Repl answers the repl_status verb.
-	Repl *ReplStatus `json:"repl,omitempty"`
 }
 
 // SchemaInfo mirrors geodb.SchemaInfo on the wire.

@@ -124,7 +124,7 @@ func (sc *shipConn) getAcked() storage.LSN {
 func NewPrimary(db *geodb.DB, opts PrimaryOptions) (*Primary, error) {
 	wal := db.WAL()
 	if wal == nil {
-		return nil, errors.New("repl: primary requires a WAL-backed database (geodb.Options.WALFile or a -db path)")
+		return nil, errors.New("repl: primary requires a WAL-backed database (geodb.Options.Path or WALFile)")
 	}
 	opts.defaults()
 	runID := rand.Uint64()
@@ -497,7 +497,8 @@ func (p *Primary) Durable() storage.LSN {
 	return p.durable
 }
 
-// Status answers the repl_status verb.
+// Status reports the primary's lineage, durable LSN and every attached
+// replica's acked LSN and lag.
 func (p *Primary) Status() *proto.ReplStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -22,7 +22,7 @@ import (
 
 // ReplicaOptions tunes a Replica.
 type ReplicaOptions struct {
-	// Addr is the primary's replication listener ("-repl-listen" of gisd).
+	// Addr is the primary's replication listener.
 	// Dial overrides it for tests (net.Pipe, faultnet wrapping).
 	Addr string
 	Dial func() (net.Conn, error)
@@ -87,8 +87,8 @@ func (o *ReplicaOptions) defaults() {
 // serves the idempotent retrieval verbs (it implements ui.Backend) from a
 // read-only follower database rebuilt at mutation boundaries. It guarantees
 // prefix consistency: every state it ever serves is the primary's state at
-// some durable mutation boundary. Mutations are rejected; the topology
-// client pins them to the primary.
+// some durable mutation boundary. Mutations are rejected; they belong on
+// the primary.
 type Replica struct {
 	opts ReplicaOptions
 
@@ -479,7 +479,7 @@ func (r *Replica) updateHealthMetrics() {
 	}
 }
 
-// Status answers the repl_status verb.
+// Status reports the replica's lineage, log positions, lag and health.
 func (r *Replica) Status() *proto.ReplStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -520,7 +520,7 @@ func (r *Replica) backend() (*ui.DirectBackend, error) {
 	r.mu.Unlock()
 	if !healthy {
 		mUnavailableRead.Inc()
-		return nil, fmt.Errorf("%s: not serving reads (see repl_status)", proto.ReplicaUnavailableMsg)
+		return nil, fmt.Errorf("%s: not serving reads (see Status)", proto.ReplicaUnavailableMsg)
 	}
 	r.dbMu.Lock()
 	defer r.dbMu.Unlock()
@@ -636,8 +636,7 @@ func (r *Replica) SelectWhere(ctx event.Context, schema, class string, filters [
 }
 
 // CallMethod implements ui.Backend by refusing: methods may mutate, and a
-// replica's state is the primary's log alone. The topology client pins
-// call_method to the primary.
+// replica's state is the primary's log alone.
 func (r *Replica) CallMethod(oid catalog.OID, method string, args ...catalog.Value) (catalog.Value, error) {
 	return catalog.Value{}, fmt.Errorf("repl: call_method %q is pinned to the primary (%w)", method, geodb.ErrReadOnly)
 }

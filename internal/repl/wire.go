@@ -15,6 +15,10 @@
 // contiguity (a gap or torn record drops the conn and reconnects), bound
 // every read with an idle deadline (a hung primary cannot wedge apply), and
 // pull themselves out of the read rotation when their lag exceeds a bound.
+//
+// No command wires the package: gisd serves one database, as the paper's
+// architecture does. It is a tested library awaiting removal (ROADMAP.md
+// item 6, DESIGN.md §13).
 package repl
 
 import (

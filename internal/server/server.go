@@ -54,7 +54,6 @@ var (
 		proto.OpTxn:            obs.Default().Histogram(`gis_server_verb_seconds{verb="txn"}`, obs.LatencyBuckets),
 		proto.OpStats:          obs.Default().Histogram(`gis_server_verb_seconds{verb="stats"}`, obs.LatencyBuckets),
 		proto.OpTrace:          obs.Default().Histogram(`gis_server_verb_seconds{verb="trace"}`, obs.LatencyBuckets),
-		proto.OpReplStatus:     obs.Default().Histogram(`gis_server_verb_seconds{verb="repl_status"}`, obs.LatencyBuckets),
 	}
 	mVerbOther = obs.Default().Histogram(`gis_server_verb_seconds{verb="other"}`, obs.LatencyBuckets)
 
@@ -133,11 +132,6 @@ type Server struct {
 
 	// TraceStore, when set, answers the trace verb with retained traces.
 	TraceStore *obs.TailSampler
-
-	// ReplStatus, when set, answers the repl_status verb (wired to
-	// repl.Primary.Status or repl.Replica.Status by cmd/gisd). Unset, the
-	// verb reports that this process does not replicate.
-	ReplStatus func() *proto.ReplStatus
 
 	// Requests counts requests served (B8 reporting). It is mutated across
 	// connection goroutines, hence atomic; read it with Requests.Load().
@@ -754,11 +748,6 @@ func (s *Server) handle(req proto.Request) (resp proto.Response) {
 	case proto.OpStats:
 		snap := obs.Default().Snapshot()
 		resp.Stats = &snap
-	case proto.OpReplStatus:
-		if s.ReplStatus == nil {
-			return fail(errors.New("server: replication not enabled"))
-		}
-		resp.Repl = s.ReplStatus()
 	case proto.OpTrace:
 		if s.TraceStore == nil {
 			return fail(errors.New("server: tracing not enabled"))
