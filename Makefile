@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.*')
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-test fuzz lint cover repl-smoke txn-smoke
+.PHONY: ci fmt vet build test experiments bench-smoke bench-test fuzz lint cover repl-smoke txn-smoke
 
 ci: fmt vet build lint test cover bench-smoke bench-test fuzz repl-smoke txn-smoke
 
@@ -72,8 +72,19 @@ cover:
 			echo "coverage below floor for $$pkg"; fail=1; fi; \
 	done; exit $$fail
 
-bench:
-	go test -run xxx -bench . -benchmem .
+# EXPERIMENTS.md's characterization tables: ten -benchmem passes over every
+# root benchmark, summarized as median [q1–q3] per benchmark and unit. Ten
+# passes rather than -count 10: -count runs a cell's repeats back to back,
+# so a slow stretch of a shared host shifts a whole cell, while across
+# passes it widens the quartiles of many. The raw runs stay in
+# /tmp/gis-experiments/bench.txt.
+experiments:
+	@mkdir -p /tmp/gis-experiments
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		go test -run '^$$' -bench . -benchmem . || exit 1; \
+	done > /tmp/gis-experiments/bench.txt || { tail -20 /tmp/gis-experiments/bench.txt; exit 1; }
+	go version
+	go run ./cmd/gisbench < /tmp/gis-experiments/bench.txt
 
 # One iteration of every benchmark: keeps the bench series compiling and
 # running (not measuring) on every PR.

@@ -37,7 +37,6 @@ func main() {
 		idle       = flag.Duration("idle-timeout", 5*time.Minute, "disconnect clients idle longer than this (0 = never)")
 		maxConns   = flag.Int("max-conns", 0, "maximum concurrent client connections (0 = unlimited)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-		pipeline   = flag.Int("pipeline", 1, "max concurrent requests per connection (1 = sequential, pre-pipelining behavior)")
 		wal        = flag.Bool("wal", true, "write-ahead logging for a -db file: acknowledged mutations survive a crash (false = flush-on-close only)")
 		ckptEvery  = flag.Int("checkpoint-every", 1024, "checkpoint (flush + truncate the WAL) after this many commits; bounds replay on restart (<0 = never)")
 
@@ -173,7 +172,6 @@ func main() {
 	srv := sys.NewServer()
 	srv.IdleTimeout = *idle
 	srv.MaxConns = *maxConns
-	srv.PipelineDepth = *pipeline
 	srv.Log = logger
 	srv.SlowRequest = *slowReq
 	errCh := make(chan error, 1)

@@ -1,11 +1,10 @@
 // Figure-reproduction tests: each asserts the behavioral content of one of
 // the paper's figures through the public API, mirroring the F1–F7 entries of
-// EXPERIMENTS.md. TestAllExperimentsRun additionally executes the whole
-// gisbench registry in quick mode.
+// EXPERIMENTS.md. The Examples in internal/experiments check the printed
+// figures byte for byte.
 package gisui_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -183,23 +182,5 @@ func TestTransparency(t *testing.T) {
 		if _, err := s.OpenSchema(workload.SchemaName); err != nil {
 			t.Fatalf("ctx %s: %v", ctx, err)
 		}
-	}
-}
-
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take seconds; skipped in -short")
-	}
-	for _, e := range experiments.Registry() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if buf.Len() == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-		})
 	}
 }

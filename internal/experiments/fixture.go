@@ -1,3 +1,10 @@
+// Package experiments holds the shared set-up of the reproduction harness:
+// the Section 4 telephone network fixture, the paper's two contexts, and the
+// constructions behind the testing.B series in the root bench_test.go. Its
+// Examples print Figures 1–7 and the B3 cost table, and go test checks each
+// printout byte for byte. The B1–B9 numbers come from bench_test.go through
+// `make experiments` (EXPERIMENTS.md); the end-to-end interaction benchmark
+// lives in bench/.
 package experiments
 
 import (
@@ -21,6 +28,12 @@ var JulianoCtx = event.Context{User: "juliano", Application: "pole_manager"}
 
 // MariaCtx is a generic user in the same application.
 var MariaCtx = event.Context{User: "maria", Application: "pole_manager"}
+
+// JulianoEvent is a representative event in juliano's context for exercising
+// rule actions outside a live dispatch.
+func JulianoEvent() event.Event {
+	return event.Event{Ctx: JulianoCtx}
+}
 
 // NewFixture builds the fixture at the given scale.
 func NewFixture(polesPerZone, zonesPerSide int, withRules bool) (*Fixture, error) {

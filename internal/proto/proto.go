@@ -12,12 +12,10 @@
 //
 // Requests and responses carry a caller-chosen ID, and a response answers
 // the request with the same ID. Nothing in the framing requires lockstep
-// request/response alternation: both sides may pipeline — a client may have
-// several requests in flight on one connection and a server may answer them
-// out of order (internal/client multiplexes waiters by ID; internal/server
-// bounds per-connection concurrency with Options.PipelineDepth). The wire
-// format itself is unchanged from the sequential protocol; a pipelined peer
-// interoperates with a sequential one.
+// request/response alternation: a client may have several requests in
+// flight on one connection (internal/client multiplexes waiters by ID), and
+// the framing would let a server answer them out of order. internal/server
+// answers each connection's requests one at a time, in order.
 package proto
 
 import (

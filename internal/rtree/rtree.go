@@ -80,9 +80,11 @@ func (t *Tree) Insert(bounds geom.Rect, id uint64) {
 	leaf := t.chooseLeaf(t.root, it)
 	leaf.items = append(leaf.items, it)
 	leaf.bounds = leaf.bounds.Union(bounds)
+	// chooseLeaf widened every node below the root on the path; splits
+	// compute their halves' bounds and parents union them.
+	t.root.bounds = t.root.bounds.Union(bounds)
 	t.size++
 	t.splitUpward(leaf)
-	t.refreshBounds()
 }
 
 func (t *Tree) chooseLeaf(n *node, it Item) *node {
@@ -406,7 +408,6 @@ func (t *Tree) condense(_ *node) {
 	for _, it := range orphans {
 		t.Insert(it.Bounds, it.ID)
 	}
-	t.refreshBounds()
 }
 
 // condenseNode recomputes bounds bottom-up, dissolving nodes that fell below
@@ -457,25 +458,6 @@ func collectItems(n *node, orphans *[]Item) {
 	for _, c := range n.children {
 		collectItems(c, orphans)
 	}
-}
-
-func (t *Tree) refreshBounds() {
-	refresh(t.root)
-}
-
-func refresh(n *node) geom.Rect {
-	if n.leaf {
-		n.bounds = geom.EmptyRect
-		for _, it := range n.items {
-			n.bounds = n.bounds.Union(it.Bounds)
-		}
-		return n.bounds
-	}
-	n.bounds = geom.EmptyRect
-	for _, c := range n.children {
-		n.bounds = n.bounds.Union(refresh(c))
-	}
-	return n.bounds
 }
 
 // Nearest returns the k item IDs nearest to p by bounding-rectangle distance,

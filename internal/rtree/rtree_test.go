@@ -199,6 +199,38 @@ func TestInterleavedInsertDelete(t *testing.T) {
 	}
 }
 
+// TestBoundsExactAfterEveryOp pins incremental bounds maintenance: after
+// every insert and delete of a seeded mix, each node's bounds are exactly
+// the union of its entries, the root's included.
+func TestBoundsExactAfterEveryOp(t *testing.T) {
+	for _, c := range []struct{ max, min int }{{4, 2}, {16, 4}, {64, 32}} {
+		rng := rand.New(rand.NewSource(int64(c.max)))
+		tr := NewWithCapacity(c.max, c.min)
+		var live []Item
+		for op := 0; op < 5000; op++ {
+			if len(live) == 0 || rng.Float64() < 0.6 {
+				it := Item{ID: uint64(op), Bounds: geom.R(rng.Float64()*1000, rng.Float64()*1000,
+					rng.Float64()*1000, rng.Float64()*1000)}
+				tr.Insert(it.Bounds, it.ID)
+				live = append(live, it)
+			} else {
+				i := rng.Intn(len(live))
+				if !tr.Delete(live[i].Bounds, live[i].ID) {
+					t.Fatalf("cap (%d,%d) op %d: delete %d failed", c.max, c.min, op, live[i].ID)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if msg := tr.CheckInvariants(); msg != "" {
+				t.Fatalf("cap (%d,%d) op %d: %s", c.max, c.min, op, msg)
+			}
+		}
+		if tr.Len() != len(live) {
+			t.Fatalf("cap (%d,%d): len = %d, want %d", c.max, c.min, tr.Len(), len(live))
+		}
+	}
+}
+
 func TestNearest(t *testing.T) {
 	tr := New()
 	for i := 0; i < 100; i++ {

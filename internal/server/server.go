@@ -1,11 +1,10 @@
 // Package server exposes a geographic database (with its active mechanism)
 // over the weak-integration protocol: the DBMS side of §3.5's open-GIS
-// architecture. One Server serves many concurrent UI clients. By default
-// each connection is handled sequentially, matching the
-// one-interaction-at-a-time nature of a UI session; setting PipelineDepth
-// lets one connection carry several in-flight requests (a pipelined client
-// multiplexing sessions), handled by a bounded worker pool with a single
-// response-writer goroutine (DESIGN.md §10).
+// architecture. One Server serves many concurrent UI clients. Each
+// connection is handled sequentially, one request at a time and in order,
+// matching the one-interaction-at-a-time nature of a UI session; a client
+// that multiplexes callers over one connection waits its turn per request
+// (DESIGN.md §10).
 //
 // The transport is fault-tolerant: per-connection idle/write deadlines bound
 // how long a dead peer can hold resources, MaxConns applies accept
@@ -66,11 +65,11 @@ var (
 	mDrains        = obs.Default().Counter("gis_server_drains_total")
 )
 
-// connState tracks how many requests a connection has in flight (at most
-// one unless PipelineDepth raises it); Shutdown closes idle conns
-// immediately and lets busy ones finish writing their in-flight responses.
+// connState tracks whether a connection has a request in flight; Shutdown
+// closes idle conns immediately and lets busy ones finish writing their
+// in-flight response.
 type connState struct {
-	inflight int
+	busy bool
 }
 
 // Server answers protocol requests against a Backend (normally a
@@ -99,14 +98,6 @@ type Server struct {
 	// the server, queues newcomers) until a connection closes. Zero means
 	// unlimited.
 	MaxConns int
-
-	// PipelineDepth caps in-flight requests per connection. 0 or 1 keeps
-	// the sequential read-handle-write loop (one request at a time, exactly
-	// the pre-pipelining behavior). Higher values run up to PipelineDepth
-	// handlers concurrently per connection, with responses funneled through
-	// one writer goroutine; responses may leave in completion order, which
-	// is what proto.Request.ID exists to disambiguate.
-	PipelineDepth int
 
 	// Checkpoint, when set, is invoked once after Shutdown finishes
 	// draining: the graceful stop ends with a durability point, so a
@@ -289,7 +280,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Idle connections are between requests: nothing to drain, close
 		// them now. Busy ones close themselves after their responses.
 		for c, st := range s.conns {
-			if st.inflight == 0 {
+			if !st.busy {
 				_ = c.Close()
 			}
 		}
@@ -406,11 +397,6 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	cid := s.connSeq.Add(1)
 	cl := s.connLogger(conn, cid)
 	cl.Debug("connection opened")
-	if s.PipelineDepth > 1 {
-		s.serveConnPipelined(conn, st, s.PipelineDepth, cl)
-		cl.Debug("connection closed")
-		return
-	}
 	defer cl.Debug("connection closed")
 	defer s.unregister(conn)
 	for {
@@ -425,7 +411,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 			s.mu.Unlock()
 			return
 		}
-		st.inflight = 1
+		st.busy = true
 		s.mu.Unlock()
 
 		t0 := time.Now()
@@ -439,7 +425,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		s.finishRequest(cl, req.Op, sp, t0, resp.Err)
 
 		s.mu.Lock()
-		st.inflight = 0
+		st.busy = false
 		drain := s.draining || s.closed
 		s.mu.Unlock()
 		if werr != nil {
@@ -471,105 +457,6 @@ func (s *Server) readRequest(conn net.Conn, cl *slog.Logger) (req proto.Request,
 		return proto.Request{}, false
 	}
 	return req, true
-}
-
-// pipelined is one in-flight pipelined request on its way to the writer:
-// the response plus the request span and start time the writer needs to
-// finish accounting after the frame is out.
-type pipelined struct {
-	resp proto.Response
-	op   proto.Op
-	sp   *obs.Span
-	t0   time.Time
-}
-
-// serveConnPipelined runs one connection with up to depth requests in
-// flight: a reader (this goroutine) admits requests through a semaphore,
-// workers run s.handle concurrently — panic recovery, deadlines and verb
-// accounting all live inside handle, unchanged — and a single writer
-// goroutine serializes response frames so concurrent handlers can never
-// interleave bytes on the wire.
-//
-// The request span is created HERE, in the reader, before the worker
-// handoff, and threaded through the worker and writer explicitly: worker
-// goroutines are pooled across requests, so any tracing state held
-// per-goroutine (rather than per-request) would stitch spans of unrelated
-// requests together under whichever trace the goroutine saw first.
-func (s *Server) serveConnPipelined(conn net.Conn, st *connState, depth int, cl *slog.Logger) {
-	defer s.unregister(conn)
-
-	respCh := make(chan pipelined, depth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		failed := false
-		for p := range respCh {
-			if !failed {
-				if s.WriteTimeout > 0 {
-					conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-				}
-				if werr := proto.WriteMessage(conn, p.resp); werr != nil {
-					if !errors.Is(werr, net.ErrClosed) {
-						cl.Warn("write failed", "err", werr)
-					}
-					// The stream is broken; close so the reader stops
-					// admitting, then keep draining respCh so workers
-					// never block on a dead writer.
-					failed = true
-					conn.Close()
-				}
-			}
-			s.finishRequest(cl, p.op, p.sp, p.t0, p.resp.Err)
-			// The request counts as in flight until its response is out
-			// (or abandoned): Shutdown must not cut a written-but-unsent
-			// response, so the drain close happens here, after the write.
-			s.requestDone(conn, st)
-		}
-	}()
-
-	sem := make(chan struct{}, depth)
-	var wg sync.WaitGroup
-	for {
-		req, ok := s.readRequest(conn, cl)
-		if !ok {
-			break
-		}
-		s.mu.Lock()
-		if s.draining || s.closed {
-			// The drain raced our read: drop the request rather than
-			// answer past the shutdown point.
-			s.mu.Unlock()
-			break
-		}
-		st.inflight++
-		s.mu.Unlock()
-		t0 := time.Now()
-		sp := s.startRequestSpan(&req)
-		sem <- struct{}{} // caps concurrent handlers at depth
-		wg.Add(1)
-		go func(req proto.Request, sp *obs.Span, t0 time.Time) {
-			defer wg.Done()
-			respCh <- pipelined{resp: s.handle(req), op: req.Op, sp: sp, t0: t0}
-			<-sem
-		}(req, sp, t0)
-	}
-	wg.Wait()
-	close(respCh)
-	<-writerDone
-}
-
-// requestDone retires one in-flight pipelined request. During a graceful
-// drain the last response out closes the connection, which unblocks the
-// reader goroutine so the conn can unregister and Shutdown can return.
-func (s *Server) requestDone(conn net.Conn, st *connState) {
-	s.mu.Lock()
-	st.inflight--
-	closeNow := (s.draining || s.closed) && st.inflight == 0
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if closeNow {
-		_ = conn.Close()
-	}
 }
 
 func (s *Server) handle(req proto.Request) (resp proto.Response) {

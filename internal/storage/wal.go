@@ -46,7 +46,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -74,11 +73,6 @@ const (
 	// is a corrupt length field, not a record.
 	maxWALPayload = 4 + PageSize
 )
-
-// ErrWALCorrupt reports a log that is damaged before its tail (replay
-// handles a torn tail silently by truncating it; this error is for callers
-// that ask about specific records).
-var ErrWALCorrupt = errors.New("storage: corrupt WAL record")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
