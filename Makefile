@@ -108,13 +108,18 @@ repl-smoke:
 # five times under -race so an interleaving-dependent failure cannot hide
 # behind one lucky run. Storage (DESIGN.md §15): the concurrent-committer
 # linearizability oracle + crash matrix, the group-end durability and pool
-# no-steal tests, the transaction tests, the window-query/delete race and
-# the replica consistency oracles. Rule selection (DESIGN.md §10): two
+# no-steal tests, the transaction tests (the failed commit that must change
+# nothing among them), the window-query/delete race and the replica
+# consistency oracles. Constraints and scenarios: checks that read the
+# transaction's own ops, through geodb and over the txn verb, the guard's
+# counters under concurrent inserts, and scenario commits as one
+# transaction in process and over TCP. Rule selection (DESIGN.md §10): two
 # same-context sessions in process and over TCP, the cascade that must not
 # answer the caller, dispatch under rule churn, and concurrent sessions.
 txn-smoke:
 	go test -race -count=5 -run 'TestWALGroupCommit|TestWALDurableIsGroupEnd|TestBufferPoolLogGroup|TestTxn|TestWindowConcurrentDelete' ./internal/storage ./internal/geodb
 	go test -race -count=5 -run 'TestShipFramesNeverSplitTxn|TestReplicaPrefixConsistencyConcurrentWriters' ./internal/repl
-	go test -race -count=5 -run 'TestSameContextSelectionsStayWithTheirCall' ./internal/server
+	go test -race -count=5 -run 'TestTxnChecksSeeEarlierOps|TestGuardCountersConcurrent' ./internal/topo
+	go test -race -count=5 -run 'TestSameContextSelectionsStayWithTheirCall|TestTxnVerbChecksSeeEarlierOps|TestScenarioCommitOverTCPIsOneTransaction' ./internal/server
 	go test -race -count=5 -run 'TestCascadedSelectionAnswersNoCaller|TestCacheSoundUnderConcurrentMutation' ./internal/active
-	go test -race -count=5 -run 'TestConcurrentSessions' ./internal/ui
+	go test -race -count=5 -run 'TestConcurrentSessions|TestScenarioCommit' ./internal/ui

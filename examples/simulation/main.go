@@ -2,8 +2,8 @@
 // ("users build scenarios to test their hypotheses") together with the
 // view-refresh rule family: a planner sketches a network build-out in a
 // scenario, inspects the hypothetical map without touching the database,
-// commits it through the constraint-guarded mutation path, and a second
-// session's open window is refreshed by an active rule.
+// commits it as one constraint-guarded transaction, and a second session's
+// open window is refreshed by an active rule.
 package main
 
 import (
@@ -76,11 +76,14 @@ func main() {
 		win.Name, len(win.Find("map").Shapes), sys.DB.Count(workload.SchemaName, "Pole"))
 
 	// A hypothetical pole OUTSIDE the zone: the window shows it, but the
-	// commit is vetoed by the topological rule — the hypothesis fails safely.
+	// topological rule vetoes the commit. The scenario is one transaction,
+	// so the database refuses it whole: no pole is inserted or moved, and
+	// the workspace stays as it was for correction.
 	bad, _ := planner.ScenarioInsert(workload.SchemaName, "Pole", poleValues(5000, 5000))
 	if err := planner.CommitScenario(); err != nil {
 		fmt.Printf("commit vetoed as expected: %v\n", err)
 	}
+	fmt.Printf("after the veto the database still has %d poles\n", sys.DB.Count(workload.SchemaName, "Pole"))
 	// Remove the offending pole and commit for real.
 	mustOK(planner.ScenarioDelete(bad))
 	mustOK(planner.CommitScenario())

@@ -89,5 +89,5 @@ func main() {
 		fmt.Printf("insert overlapping zone:   vetoed — %v\n", err)
 	}
 
-	fmt.Printf("\nguard stats: %d checks, %d vetoes\n", sys.Guard.Checks, sys.Guard.Vetoes)
+	fmt.Printf("\nguard stats: %d checks, %d vetoes\n", sys.Guard.Checks.Load(), sys.Guard.Vetoes.Load())
 }

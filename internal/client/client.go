@@ -570,45 +570,12 @@ func (c *Client) CallMethod(oid catalog.OID, method string, args ...catalog.Valu
 	return proto.DecodeValue(*resp.Value)
 }
 
-// ScenarioInsert implements ui.Mutator over the scenario_insert verb, so a
-// remote session commits simulation workspaces through the server's normal
-// rule-guarded, WAL-durable mutation path. Mutations are never retried: a
-// transport failure surfaces to CommitScenario, whose workspace-consuming
-// replay already handles resumption.
-func (c *Client) ScenarioInsert(ctx event.Context, schema, class string, values []catalog.Value) (catalog.OID, error) {
-	wvals, err := proto.EncodeValues(values)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(proto.Request{
-		Op: proto.OpScenarioInsert, Ctx: ctx, Schema: schema, Class: class, Args: wvals})
-	if err != nil {
-		return 0, err
-	}
-	return resp.OID, nil
-}
-
-// ScenarioUpdate implements ui.Mutator over the scenario_update verb.
-func (c *Client) ScenarioUpdate(ctx event.Context, oid catalog.OID, values []catalog.Value) error {
-	wvals, err := proto.EncodeValues(values)
-	if err != nil {
-		return err
-	}
-	_, err = c.roundTrip(proto.Request{Op: proto.OpScenarioUpdate, Ctx: ctx, OID: oid, Args: wvals})
-	return err
-}
-
-// ScenarioDelete implements ui.Mutator over the scenario_delete verb.
-func (c *Client) ScenarioDelete(ctx event.Context, oid catalog.OID) error {
-	_, err := c.roundTrip(proto.Request{Op: proto.OpScenarioDelete, Ctx: ctx, OID: oid})
-	return err
-}
-
 // CommitTxn implements ui.TxnMutator over the txn verb: the batch crosses
 // the wire as one request and commits server-side as one geodb transaction
-// (one WAL group, one shared group-commit fsync). Like the other mutation
-// verbs it is never retried — a transport failure leaves the outcome
-// unknown, and only the caller can decide whether re-issuing is safe.
+// (one WAL group, one shared group-commit fsync). A remote session commits
+// its scenarios through it. Like call_method it is never retried — a
+// transport failure leaves the outcome unknown, and only the caller can
+// decide whether re-issuing is safe.
 func (c *Client) CommitTxn(ctx event.Context, ops []ui.TxnOp) ([]catalog.OID, error) {
 	wire := make([]proto.TxnOp, len(ops))
 	for i, op := range ops {

@@ -2,6 +2,7 @@ package custlang
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/geodb"
 	"repro/internal/spec"
+	"repro/internal/storage"
 	"repro/internal/uikit"
 )
 
@@ -461,6 +463,29 @@ func TestStoreAndLoadDirectives(t *testing.T) {
 	n, err := a.InstallStored(db, engine)
 	if err != nil || n != 3 || engine.RuleCount() != 3 {
 		t.Fatalf("InstallStored = %d, %v (engine %d)", n, err, engine.RuleCount())
+	}
+}
+
+// TestRefusedResaveKeepsStoredDirectives: a valid source the database
+// refuses, here one larger than a page, leaves the stored version in place.
+func TestRefusedResaveKeepsStoredDirectives(t *testing.T) {
+	a, db := testAnalyzer(t)
+	if err := a.SaveDirectives(db, "pole_manager", figure6); err != nil {
+		t.Fatal(err)
+	}
+	var big strings.Builder
+	for i := 0; big.Len() <= storage.MaxRecordSize; i++ {
+		big.WriteString(strings.ReplaceAll(figure6, "juliano", fmt.Sprintf("user%d", i)))
+	}
+	if _, err := a.CompileSource(big.String()); err != nil {
+		t.Fatalf("the oversize source must be valid: %v", err)
+	}
+	if err := a.SaveDirectives(db, "pole_manager", big.String()); !errors.Is(err, storage.ErrRecordTooLarge) {
+		t.Fatalf("oversize re-save: %v", err)
+	}
+	stored, err := LoadDirectives(db)
+	if err != nil || len(stored) != 1 || stored["pole_manager"] != figure6 {
+		t.Fatalf("after the refused re-save: %v, %v", stored, err)
 	}
 }
 

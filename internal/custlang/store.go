@@ -41,8 +41,10 @@ func ensureRuleClass(db *geodb.DB) error {
 }
 
 // SaveDirectives validates and stores a named directive source file in the
-// database, replacing any previous version under the same name. Validation
-// runs through the analyzer so only compilable sources persist.
+// database, replacing any previous version under the same name in one
+// transaction: a source the database refuses leaves the previous version
+// stored. Validation runs through the analyzer so only compilable sources
+// persist.
 func (a *Analyzer) SaveDirectives(db *geodb.DB, name, src string) error {
 	if _, err := a.CompileSource(src); err != nil {
 		return fmt.Errorf("custlang: refusing to store invalid directives %q: %w", name, err)
@@ -50,7 +52,6 @@ func (a *Analyzer) SaveDirectives(db *geodb.DB, name, src string) error {
 	if err := ensureRuleClass(db); err != nil {
 		return err
 	}
-	ctx := event.Context{Application: "_ui_rules"}
 	existing, err := db.Select(RuleSchema, RuleClass, func(in geodb.Instance) bool {
 		v, _ := in.Get("name")
 		return v.Text == name
@@ -58,16 +59,24 @@ func (a *Analyzer) SaveDirectives(db *geodb.DB, name, src string) error {
 	if err != nil {
 		return err
 	}
-	for _, in := range existing {
-		if err := db.Delete(ctx, in.OID); err != nil {
-			return err
-		}
-	}
-	_, err = db.InsertMap(ctx, RuleSchema, RuleClass, map[string]catalog.Value{
+	values, err := db.ValuesFromMap(RuleSchema, RuleClass, map[string]catalog.Value{
 		"name":   catalog.TextVal(name),
 		"source": catalog.TextVal(src),
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	txn := db.Begin(event.Context{Application: "_ui_rules"})
+	defer txn.Abort() // a no-op once committed
+	for _, in := range existing {
+		if err := txn.Delete(in.OID); err != nil {
+			return err
+		}
+	}
+	if _, err := txn.Insert(RuleSchema, RuleClass, values); err != nil {
+		return fmt.Errorf("custlang: store directives %q: %w", name, err)
+	}
+	return txn.Commit()
 }
 
 // LoadDirectives returns every stored directive source, keyed by name.

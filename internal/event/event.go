@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/spec"
 )
@@ -222,6 +223,20 @@ type Event struct {
 	Old, New []catalog.Value
 	// Name distinguishes External events.
 	Name string
+	// View is set on Pre_* events: the database as the announced mutation
+	// will see it, which constraint rules read their candidates through.
+	View View
+}
+
+// View reads the database as a pending mutation will see it: the committed
+// state with the earlier ops of the same transaction applied, so a
+// constraint check sees what its batch has built so far. geodb's Txn
+// implements it; it is declared here because the active mechanism and its
+// rules see the database only through events.
+type View interface {
+	// Geometries calls fn with the OID and geometry of every instance of
+	// schema.class whose geometry bounds intersect window.
+	Geometries(schema, class string, window geom.Rect, fn func(catalog.OID, geom.Geometry)) error
 }
 
 // String summarizes the event for traces (experiment F1 prints these).

@@ -152,8 +152,8 @@ type DB struct {
 	// catalogRID locates the reserved catalog snapshot record, once written.
 	catalogRID *storage.RID
 
-	// commitSeq counts applied commit groups (single mutations and explicit
-	// transactions alike); it advances under db.mu at each group close and is
+	// commitSeq counts applied commit groups (transactions and catalog
+	// rewrites alike); it advances under db.mu at each group close and is
 	// the version axis snapshots read against. undo retains pre-states that
 	// open snapshots may still need; snapMu guards the active-snapshot
 	// registry (always acquired after db.mu when both are held).
@@ -612,45 +612,16 @@ func (db *DB) ValuesFromMap(schema, class string, m map[string]catalog.Value) ([
 	return values, nil
 }
 
-// Insert stores a new instance and returns its OID. Pre/Post insert events
-// are emitted; an error from a PreInsert handler vetoes the insert.
-func (db *DB) Insert(ctx event.Context, schema, class string, values []catalog.Value) (_ catalog.OID, rerr error) {
-	if db.readOnly {
-		return 0, ErrReadOnly
-	}
-	sw := obs.Start(mInsertSeconds)
-	defer sw.Stop()
-	sp := db.tracer.StartSpan("geodb.insert", ctx.Trace)
-	sp.Set("class", schema+"."+class)
-	defer func() { sp.SetError(rerr).Finish() }()
-	attrs, err := db.typecheck(schema, class, values)
+// Insert stores a new instance and returns its OID, as a one-op
+// transaction: Pre/Post insert events are emitted, and an error from a
+// PreInsert handler vetoes the insert.
+func (db *DB) Insert(ctx event.Context, schema, class string, values []catalog.Value) (catalog.OID, error) {
+	t := db.Begin(ctx)
+	oid, err := t.Insert(schema, class, values)
 	if err != nil {
 		return 0, err
 	}
-	pre := event.Event{Kind: event.PreInsert, Schema: schema, Class: class, Ctx: ctx, New: values}
-	if err := db.bus.Emit(pre); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrVetoed, err)
-	}
-	db.mu.Lock()
-	seq := db.commitSeq + 1
-	oid, err := db.applyInsertLocked(seq, 0, schema, class, attrs, values)
-	if err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	end, err := db.closeGroupLocked(seq)
-	db.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := db.commitDurable(sp, end); err != nil {
-		return 0, err
-	}
-	post := event.Event{Kind: event.PostInsert, Schema: schema, Class: class, OID: oid, Ctx: ctx, New: values}
-	if err := db.bus.Emit(post); err != nil {
-		return oid, err
-	}
-	return oid, nil
+	return oid, t.Commit()
 }
 
 // InsertMap is Insert with named values.
@@ -662,44 +633,15 @@ func (db *DB) InsertMap(ctx event.Context, schema, class string, m map[string]ca
 	return db.Insert(ctx, schema, class, values)
 }
 
-// Update replaces the instance's values. PreUpdate handlers may veto (the
-// topological-constraint rules of [11] do exactly that).
-func (db *DB) Update(ctx event.Context, oid catalog.OID, values []catalog.Value) (rerr error) {
-	if db.readOnly {
-		return ErrReadOnly
-	}
-	sp := db.tracer.StartSpan("geodb.update", ctx.Trace)
-	sp.Setf("oid", "%d", oid)
-	defer func() { sp.SetError(rerr).Finish() }()
-	old, err := db.lookup(oid)
-	if err != nil {
+// Update replaces the instance's values as a one-op transaction. PreUpdate
+// handlers may veto (the topological-constraint rules of [11] do exactly
+// that).
+func (db *DB) Update(ctx event.Context, oid catalog.OID, values []catalog.Value) error {
+	t := db.Begin(ctx)
+	if err := t.Update(oid, values); err != nil {
 		return err
 	}
-	if _, err := db.typecheck(old.Schema, old.Class, values); err != nil {
-		return err
-	}
-	pre := event.Event{Kind: event.PreUpdate, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: ctx, Old: old.Values, New: values}
-	if err := db.bus.Emit(pre); err != nil {
-		return fmt.Errorf("%w: %v", ErrVetoed, err)
-	}
-	db.mu.Lock()
-	seq := db.commitSeq + 1
-	if err := db.applyUpdateLocked(seq, oid, values); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	end, err := db.closeGroupLocked(seq)
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := db.commitDurable(sp, end); err != nil {
-		return err
-	}
-	post := event.Event{Kind: event.PostUpdate, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: ctx, Old: old.Values, New: values}
-	return db.bus.Emit(post)
+	return t.Commit()
 }
 
 // UpdateAttr updates a single attribute by name.
@@ -724,105 +666,58 @@ func (db *DB) UpdateAttr(ctx event.Context, oid catalog.OID, attr string, v cata
 	return db.Update(ctx, oid, values)
 }
 
-// Delete removes an instance. PreDelete handlers may veto.
-func (db *DB) Delete(ctx event.Context, oid catalog.OID) (rerr error) {
-	if db.readOnly {
-		return ErrReadOnly
-	}
-	sp := db.tracer.StartSpan("geodb.delete", ctx.Trace)
-	sp.Setf("oid", "%d", oid)
-	defer func() { sp.SetError(rerr).Finish() }()
-	old, err := db.lookup(oid)
-	if err != nil {
+// Delete removes an instance as a one-op transaction. PreDelete handlers
+// may veto.
+func (db *DB) Delete(ctx event.Context, oid catalog.OID) error {
+	t := db.Begin(ctx)
+	if err := t.Delete(oid); err != nil {
 		return err
 	}
-	pre := event.Event{Kind: event.PreDelete, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: ctx, Old: old.Values}
-	if err := db.bus.Emit(pre); err != nil {
-		return fmt.Errorf("%w: %v", ErrVetoed, err)
-	}
-	db.mu.Lock()
-	seq := db.commitSeq + 1
-	if err := db.applyDeleteLocked(seq, oid); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	end, err := db.closeGroupLocked(seq)
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := db.commitDurable(sp, end); err != nil {
-		return err
-	}
-	post := event.Event{Kind: event.PostDelete, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: ctx, Old: old.Values}
-	return db.bus.Emit(post)
+	return t.Commit()
 }
 
-// The applyXxxLocked helpers below are the shared mutation cores: the
-// single-mutation methods (Insert/Update/Delete) wrap one of them in its own
-// group, and Txn.Commit applies a whole buffered batch under one db.mu hold
-// and one WAL group. All of them require db.mu held for writing, apply at
-// commit sequence seq, and leave the group's pages unlogged — the caller
-// logs them with closeGroupLocked. On error the in-memory state may be
+// The applyXxxLocked helpers below are Txn.Commit's mutation cores: Commit
+// applies a whole buffered batch under one db.mu hold and one WAL group.
+// All of them require db.mu held for writing, apply at commit sequence seq,
+// and leave the group's pages unlogged — Commit logs them with
+// closeGroupLocked. Commit has already checked every target and every
+// record was sized when it was buffered, so only the storage layer can fail
+// one midway (say, with ErrPoolExhausted). The in-memory state is then
 // partially applied and its pages stay unlogged: nothing reaches the log,
 // so a restart restores the pre-group state, though the next group logs
-// those pages with its own (in-process divergence until then is the same
-// contract the pre-transaction error paths had).
+// those pages with its own.
 
-// applyInsertLocked stores a new instance. A zero oid allocates the next
-// OID; a non-zero oid was pre-allocated by Txn.Insert.
-func (db *DB) applyInsertLocked(seq uint64, oid catalog.OID, schema, class string, attrs []catalog.Field, values []catalog.Value) (catalog.OID, error) {
-	assigned := false
-	if oid == 0 {
-		db.nextOID++
-		oid = db.nextOID
-		assigned = true
-	}
-	data, err := encodeObjectRecord(oid, schema, class, values)
+// applyInsertLocked stores a new instance under its pre-allocated OID.
+func (db *DB) applyInsertLocked(seq uint64, op *txnOp) error {
+	rid, err := db.heap.Insert(op.data)
 	if err != nil {
-		if assigned {
-			db.nextOID--
-		}
-		return 0, err
+		return err
 	}
-	rid, err := db.heap.Insert(data)
-	if err != nil {
-		if assigned {
-			db.nextOID--
-		}
-		return 0, err
-	}
-	key := classKey{schema, class}
-	db.instances[oid] = instanceMeta{rid: rid, schema: schema, class: class, born: seq}
-	db.byClass[key] = append(db.byClass[key], oid)
-	if b, ok := geometryBounds(attrs, values); ok {
+	key := classKey{op.schema, op.class}
+	db.instances[op.oid] = instanceMeta{rid: rid, schema: op.schema, class: op.class, born: seq}
+	db.byClass[key] = append(db.byClass[key], op.oid)
+	if b, ok := geometryBounds(op.attrs, op.values); ok {
 		tree, found := db.spatial[key]
 		if !found {
 			tree = rtree.New()
 			db.spatial[key] = tree
 		}
-		tree.Insert(b, uint64(oid))
+		tree.Insert(b, uint64(op.oid))
 	}
-	return oid, nil
+	return nil
 }
 
-// applyUpdateLocked replaces an instance's values. The pre-state is
-// materialized under the lock (the caller's earlier lookup may be stale)
-// and retained for open snapshots before the record changes.
-func (db *DB) applyUpdateLocked(seq uint64, oid catalog.OID, values []catalog.Value) error {
-	old, err := db.lookupLocked(oid)
+// applyUpdateLocked replaces an instance's record. The pre-state is
+// materialized under the lock (the buffer-time lookup may be stale) and
+// retained for open snapshots before the record changes.
+func (db *DB) applyUpdateLocked(seq uint64, op *txnOp) error {
+	old, err := db.lookupLocked(op.oid)
 	if err != nil {
 		return err
 	}
-	data, err := encodeObjectRecord(oid, old.Schema, old.Class, values)
-	if err != nil {
-		return err
-	}
-	meta := db.instances[oid]
+	meta := db.instances[op.oid]
 	db.saveVersionLocked(old, meta.born, seq)
-	if err := db.heap.Update(meta.rid, data); err != nil {
+	if err := db.heap.Update(meta.rid, op.data); err != nil {
 		if !errors.Is(err, storage.ErrPageFull) {
 			return err
 		}
@@ -830,25 +725,25 @@ func (db *DB) applyUpdateLocked(seq uint64, oid catalog.OID, values []catalog.Va
 		if err := db.heap.Delete(meta.rid); err != nil {
 			return err
 		}
-		rid, err := db.heap.Insert(data)
+		rid, err := db.heap.Insert(op.data)
 		if err != nil {
 			return err
 		}
 		meta.rid = rid
 	}
 	meta.born = seq
-	db.instances[oid] = meta
+	db.instances[op.oid] = meta
 	key := classKey{old.Schema, old.Class}
 	if tree, ok := db.spatial[key]; ok {
 		if b, had := geometryBounds(old.Attrs, old.Values); had {
-			tree.Delete(b, uint64(oid))
+			tree.Delete(b, uint64(op.oid))
 		}
-		if b, has := geometryBounds(old.Attrs, values); has {
-			tree.Insert(b, uint64(oid))
+		if b, has := geometryBounds(old.Attrs, op.values); has {
+			tree.Insert(b, uint64(op.oid))
 		}
-	} else if b, has := geometryBounds(old.Attrs, values); has {
+	} else if b, has := geometryBounds(old.Attrs, op.values); has {
 		tree := rtree.New()
-		tree.Insert(b, uint64(oid))
+		tree.Insert(b, uint64(op.oid))
 		db.spatial[key] = tree
 	}
 	return nil

@@ -27,7 +27,9 @@ const (
 // ErrCorrupt wraps recovery failures.
 var ErrCorrupt = errors.New("geodb: corrupt database file")
 
-// encodeObjectRecord wraps instance values with their identity.
+// encodeObjectRecord wraps instance values with their identity. A record no
+// page can hold is refused here, when a transaction buffers it, rather than
+// by the heap halfway through applying a batch.
 func encodeObjectRecord(oid catalog.OID, schema, class string, values []catalog.Value) ([]byte, error) {
 	envelope := make([]catalog.Value, 0, 4+len(values))
 	envelope = append(envelope,
@@ -37,7 +39,11 @@ func encodeObjectRecord(oid catalog.OID, schema, class string, values []catalog.
 		catalog.TextVal(class),
 	)
 	envelope = append(envelope, values...)
-	return catalog.EncodeRecord(envelope)
+	data, err := catalog.EncodeRecord(envelope)
+	if err == nil && len(data) > storage.MaxRecordSize {
+		err = fmt.Errorf("%w: %s.%s oid %d is %d bytes", storage.ErrRecordTooLarge, schema, class, oid, len(data))
+	}
+	return data, err
 }
 
 // decodeEnvelope splits a stored record into its envelope and payload.

@@ -19,7 +19,6 @@ var (
 	mGetClassSeconds  = obs.Default().Histogram(`gis_geodb_query_seconds{op="get_class"}`, obs.LatencyBuckets)
 	mGetValueSeconds  = obs.Default().Histogram(`gis_geodb_query_seconds{op="get_value"}`, obs.LatencyBuckets)
 	mSelectSeconds    = obs.Default().Histogram(`gis_geodb_query_seconds{op="select"}`, obs.LatencyBuckets)
-	mInsertSeconds    = obs.Default().Histogram("gis_geodb_insert_seconds", obs.LatencyBuckets)
 )
 
 // This file implements the retrieval side of the database: the three

@@ -1,18 +1,21 @@
 package geodb
 
-// Explicit transactions: Begin buffers mutations, Commit applies them all
-// under one db.mu hold and one WAL group — the group's commit marker is what
-// makes the batch atomic across a crash — and a single group-commit wait
-// acknowledges the whole batch. Abort discards the buffer. A transaction's
+// Transactions are the database's only write path: Begin buffers mutations,
+// Commit applies them all under one db.mu hold and one WAL group — the
+// group's commit marker is what makes the batch atomic across a crash — and
+// a single group-commit wait acknowledges the whole batch. Abort discards the
+// buffer. DB.Insert, Update and Delete are one-op transactions. A commit's
 // durable-write cost is therefore one fsync *shared* with every concurrently
 // committing transaction (DESIGN.md §15), which is how pipelined sessions
 // commit concurrently instead of serializing behind the log.
 //
 // Isolation: buffered ops are invisible to readers until Commit applies them
-// (no dirty reads). Within the transaction, Update/Delete see the buffered
-// state (read-your-writes). Conflict handling is last-writer-wins at apply
-// time, matching the single-mutation methods; there is no inter-transaction
-// locking beyond db.mu serialization of the apply step.
+// (no dirty reads). Within the transaction, Update/Delete and the constraint
+// checks of later ops see the buffered state (read-your-writes): the Txn is
+// the event.View its Pre_* events carry. Checks read committed state as of
+// buffer time, and there is no inter-transaction locking beyond db.mu
+// serialization of the apply step: conflicts resolve last-writer-wins,
+// except that Commit refuses a batch whose update or delete lost its target.
 
 import (
 	"errors"
@@ -20,6 +23,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/event"
+	"repro/internal/geom"
 	"repro/internal/obs"
 )
 
@@ -47,7 +51,8 @@ type txnOp struct {
 	class  string
 	attrs  []catalog.Field
 	values []catalog.Value // new values (insert/update)
-	old    Instance        // pre-state at buffer time (update/delete), for events
+	data   []byte          // the encoded record (insert/update)
+	old    []catalog.Value // pre-state values at buffer time (update/delete), for events
 }
 
 // Txn is an explicit transaction. It is not safe for concurrent use by
@@ -66,29 +71,75 @@ func (db *DB) Begin(ctx event.Context) *Txn {
 	return &Txn{db: db, ctx: ctx}
 }
 
-// pendingState resolves oid against the transaction's own buffered ops:
-// the latest buffered insert/update wins, a buffered delete hides it.
-func (t *Txn) pendingState(oid catalog.OID) (in Instance, deleted, found bool) {
-	for i := len(t.ops) - 1; i >= 0; i-- {
+// latest returns the index of the last op before end that touches oid, or
+// -1 when none does.
+func (t *Txn) latest(oid catalog.OID, end int) int {
+	for i := end - 1; i >= 0; i-- {
+		if t.ops[i].oid == oid {
+			return i
+		}
+	}
+	return -1
+}
+
+// current resolves oid as the transaction sees it: its own latest buffered
+// insert or update, else the committed instance. An instance the
+// transaction deleted is gone.
+func (t *Txn) current(oid catalog.OID) (Instance, error) {
+	i := t.latest(oid, len(t.ops))
+	if i < 0 {
+		return t.db.lookup(oid)
+	}
+	op := &t.ops[i]
+	if op.kind == txnDelete {
+		return Instance{}, fmt.Errorf("%w: oid %d (deleted in this transaction)", ErrNoInstance, oid)
+	}
+	return Instance{OID: oid, Schema: op.schema, Class: op.class, Attrs: op.attrs, Values: op.values}, nil
+}
+
+// Geometries implements event.View: the committed instances of schema.class
+// whose geometry bounds intersect window, except those the transaction has
+// deleted or rewritten, plus the transaction's own inserts and updates that
+// intersect window. Each read takes the read lock on its own, as
+// InstancesInWindow's do.
+func (t *Txn) Geometries(schema, class string, window geom.Rect, fn func(catalog.OID, geom.Geometry)) error {
+	oids, err := t.db.Window(schema, class, window)
+	if err != nil {
+		return err
+	}
+	for _, oid := range oids {
+		if t.latest(oid, len(t.ops)) >= 0 {
+			continue // the transaction's own state stands in for it below
+		}
+		in, err := t.db.lookup(oid)
+		if errors.Is(err, ErrNoInstance) {
+			continue // deleted since the index search
+		}
+		if err != nil {
+			return err
+		}
+		if g, ok := in.Geometry(); ok {
+			fn(oid, g)
+		}
+	}
+	for i := range t.ops {
 		op := &t.ops[i]
-		if op.oid != oid {
+		if op.kind == txnDelete || op.schema != schema || op.class != class || t.latest(op.oid, len(t.ops)) != i {
 			continue
 		}
-		if op.kind == txnDelete {
-			return Instance{}, true, true
+		if g, ok := (Instance{Attrs: op.attrs, Values: op.values}).Geometry(); ok && g.Bounds().Intersects(window) {
+			fn(op.oid, g)
 		}
-		return Instance{
-			OID: oid, Schema: op.schema, Class: op.class,
-			Attrs: op.attrs, Values: op.values,
-		}, false, true
 	}
-	return Instance{}, false, false
+	return nil
 }
 
 // Insert buffers a new instance and returns its OID (allocated now, so the
-// transaction can reference it; an abort leaves a gap in the OID sequence,
-// which the directory tolerates). The PreInsert event fires at buffer time
-// and may veto — a veto rejects this op only, not the transaction.
+// transaction can reference it; an abort or a refused record leaves a gap
+// in the OID sequence, which the directory tolerates). The PreInsert event
+// fires at buffer time and may veto — a veto rejects this op only, not the
+// transaction. The record is encoded here, so one too large for a page is
+// refused before Commit.
 func (t *Txn) Insert(schema, class string, values []catalog.Value) (catalog.OID, error) {
 	if t.done {
 		return 0, ErrTxnDone
@@ -101,7 +152,7 @@ func (t *Txn) Insert(schema, class string, values []catalog.Value) (catalog.OID,
 	if err != nil {
 		return 0, err
 	}
-	pre := event.Event{Kind: event.PreInsert, Schema: schema, Class: class, Ctx: t.ctx, New: values}
+	pre := event.Event{Kind: event.PreInsert, Schema: schema, Class: class, Ctx: t.ctx, New: values, View: t}
 	if err := db.bus.Emit(pre); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrVetoed, err)
 	}
@@ -109,16 +160,20 @@ func (t *Txn) Insert(schema, class string, values []catalog.Value) (catalog.OID,
 	db.nextOID++
 	oid := db.nextOID
 	db.mu.Unlock()
+	data, err := encodeObjectRecord(oid, schema, class, values)
+	if err != nil {
+		return 0, err
+	}
 	t.ops = append(t.ops, txnOp{
 		kind: txnInsert, oid: oid, schema: schema, class: class,
-		attrs: attrs, values: values,
+		attrs: attrs, values: values, data: data,
 	})
 	return oid, nil
 }
 
 // Update buffers a full-value update of oid. The pre-state for the event is
 // the transaction's own buffered state if it wrote oid, else the committed
-// state.
+// state. The record is encoded and sized here, as for Insert.
 func (t *Txn) Update(oid catalog.OID, values []catalog.Value) error {
 	if t.done {
 		return ErrTxnDone
@@ -127,28 +182,26 @@ func (t *Txn) Update(oid catalog.OID, values []catalog.Value) error {
 	if db.readOnly {
 		return ErrReadOnly
 	}
-	old, deleted, found := t.pendingState(oid)
-	if deleted {
-		return fmt.Errorf("%w: oid %d (deleted in this transaction)", ErrNoInstance, oid)
-	}
-	if !found {
-		var err error
-		if old, err = db.lookup(oid); err != nil {
-			return err
-		}
+	old, err := t.current(oid)
+	if err != nil {
+		return err
 	}
 	attrs, err := db.typecheck(old.Schema, old.Class, values)
 	if err != nil {
 		return err
 	}
+	data, err := encodeObjectRecord(oid, old.Schema, old.Class, values)
+	if err != nil {
+		return err
+	}
 	pre := event.Event{Kind: event.PreUpdate, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: t.ctx, Old: old.Values, New: values}
+		OID: oid, Ctx: t.ctx, Old: old.Values, New: values, View: t}
 	if err := db.bus.Emit(pre); err != nil {
 		return fmt.Errorf("%w: %v", ErrVetoed, err)
 	}
 	t.ops = append(t.ops, txnOp{
 		kind: txnUpdate, oid: oid, schema: old.Schema, class: old.Class,
-		attrs: attrs, values: values, old: old,
+		attrs: attrs, values: values, data: data, old: old.Values,
 	})
 	return nil
 }
@@ -162,23 +215,17 @@ func (t *Txn) Delete(oid catalog.OID) error {
 	if db.readOnly {
 		return ErrReadOnly
 	}
-	old, deleted, found := t.pendingState(oid)
-	if deleted {
-		return fmt.Errorf("%w: oid %d (deleted in this transaction)", ErrNoInstance, oid)
-	}
-	if !found {
-		var err error
-		if old, err = db.lookup(oid); err != nil {
-			return err
-		}
+	old, err := t.current(oid)
+	if err != nil {
+		return err
 	}
 	pre := event.Event{Kind: event.PreDelete, Schema: old.Schema, Class: old.Class,
-		OID: oid, Ctx: t.ctx, Old: old.Values}
+		OID: oid, Ctx: t.ctx, Old: old.Values, View: t}
 	if err := db.bus.Emit(pre); err != nil {
 		return fmt.Errorf("%w: %v", ErrVetoed, err)
 	}
 	t.ops = append(t.ops, txnOp{
-		kind: txnDelete, oid: oid, schema: old.Schema, class: old.Class, old: old,
+		kind: txnDelete, oid: oid, schema: old.Schema, class: old.Class, old: old.Values,
 	})
 	return nil
 }
@@ -202,7 +249,9 @@ func (t *Txn) Abort() {
 // shares with every concurrent committer. Post events fire after the
 // acknowledgement, in buffer order. An error means the transaction did not
 // durably commit: an unterminated WAL group never replays, so a restart
-// restores the pre-transaction state.
+// restores the pre-transaction state. An update or delete whose target is
+// gone fails the commit before anything applies, so it changes nothing in
+// process either.
 func (t *Txn) Commit() (rerr error) {
 	if t.done {
 		return ErrTxnDone
@@ -218,15 +267,19 @@ func (t *Txn) Commit() (rerr error) {
 	sp.Setf("ops", "%d", len(t.ops))
 	defer func() { sp.SetError(rerr).Finish() }()
 	db.mu.Lock()
+	if err := t.checkTargetsLocked(); err != nil {
+		db.mu.Unlock()
+		return err
+	}
 	seq := db.commitSeq + 1
 	for i := range t.ops {
 		op := &t.ops[i]
 		var err error
 		switch op.kind {
 		case txnInsert:
-			_, err = db.applyInsertLocked(seq, op.oid, op.schema, op.class, op.attrs, op.values)
+			err = db.applyInsertLocked(seq, op)
 		case txnUpdate:
-			err = db.applyUpdateLocked(seq, op.oid, op.values)
+			err = db.applyUpdateLocked(seq, op)
 		case txnDelete:
 			err = db.applyDeleteLocked(seq, op.oid)
 		}
@@ -253,14 +306,32 @@ func (t *Txn) Commit() (rerr error) {
 				OID: op.oid, Ctx: t.ctx, New: op.values}
 		case txnUpdate:
 			post = event.Event{Kind: event.PostUpdate, Schema: op.schema, Class: op.class,
-				OID: op.oid, Ctx: t.ctx, Old: op.old.Values, New: op.values}
+				OID: op.oid, Ctx: t.ctx, Old: op.old, New: op.values}
 		case txnDelete:
 			post = event.Event{Kind: event.PostDelete, Schema: op.schema, Class: op.class,
-				OID: op.oid, Ctx: t.ctx, Old: op.old.Values}
+				OID: op.oid, Ctx: t.ctx, Old: op.old}
 		}
 		if err := db.bus.Emit(post); err != nil && rerr == nil {
 			rerr = err
 		}
 	}
 	return rerr
+}
+
+// checkTargetsLocked refuses the batch when an update or delete has lost its
+// committed target: another committer may have deleted it since the op was
+// buffered. A target an earlier op of the transaction wrote was checked when
+// this op was buffered (an op after a delete is refused there). Callers hold
+// db.mu.
+func (t *Txn) checkTargetsLocked() error {
+	for i := range t.ops {
+		op := &t.ops[i]
+		if op.kind == txnInsert || t.latest(op.oid, i) >= 0 {
+			continue
+		}
+		if _, ok := t.db.instances[op.oid]; !ok {
+			return fmt.Errorf("geodb: txn op %d: %w: oid %d", i, ErrNoInstance, op.oid)
+		}
+	}
+	return nil
 }

@@ -3,12 +3,14 @@ package geodb
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/event"
+	"repro/internal/storage"
 )
 
 // Transaction semantics tests: atomic visibility, read-your-writes, abort,
@@ -357,5 +359,87 @@ func TestTxnConcurrentCommitters(t *testing.T) {
 				t.Fatalf("writer %d txn %d: load %d, want %d", i, j, got, 100*i+j)
 			}
 		}
+	}
+}
+
+// TestTxnFailedCommitChangesNothing: a commit whose update lost its target
+// to another committer fails before applying anything. The insert buffered
+// ahead of the update must not become visible, and must not reach the log
+// with the next commit's group and survive a reopen.
+func TestTxnFailedCommitChangesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "geo.db")
+	db := mustOpen(t, Options{Path: path})
+	defineStations(t, db)
+	x, err := db.Insert(testCtx, "net", "Station", stationVals("x", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := db.Begin(testCtx)
+	y, err := txn.Insert("net", "Station", stationVals("y", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Update(x, stationVals("x", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(testCtx, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); !errors.Is(err, ErrNoInstance) || !strings.Contains(err.Error(), "txn op 1") {
+		t.Fatalf("commit over a deleted target: %v", err)
+	}
+	if _, err := db.GetValue(testCtx, y); !errors.Is(err, ErrNoInstance) {
+		t.Fatalf("insert of a failed commit is visible: %v", err)
+	}
+	z, err := db.Insert(testCtx, "net", "Station", stationVals("z", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = mustOpen(t, Options{Path: path})
+	defer db.Close()
+	if _, err := db.GetValue(testCtx, y); !errors.Is(err, ErrNoInstance) {
+		t.Fatalf("insert of a failed commit survived a reopen: %v", err)
+	}
+	if n := db.Count("net", "Station"); n != 1 {
+		t.Fatalf("stations after reopen = %d, want only z", n)
+	}
+	if _, err := db.GetValue(testCtx, z); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnRefusesOversizeRecordAtBuffer: a record no page can hold is refused
+// when the op is buffered, so the rest of the batch still commits whole.
+func TestTxnRefusesOversizeRecordAtBuffer(t *testing.T) {
+	db := mustOpen(t, Options{})
+	defer db.Close()
+	defineStations(t, db)
+	x, err := db.Insert(testCtx, "net", "Station", stationVals("x", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := strings.Repeat("#", storage.MaxRecordSize)
+	txn := db.Begin(testCtx)
+	a, err := txn.Insert("net", "Station", stationVals("a", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Insert("net", "Station", stationVals(huge, 3)); !errors.Is(err, storage.ErrRecordTooLarge) {
+		t.Fatalf("oversize insert buffered: %v", err)
+	}
+	if err := txn.Update(x, stationVals(huge, 4)); !errors.Is(err, storage.ErrRecordTooLarge) {
+		t.Fatalf("oversize update buffered: %v", err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Count("net", "Station"); n != 2 {
+		t.Fatalf("stations = %d, want x and a", n)
+	}
+	if _, err := db.GetValue(testCtx, a); err != nil {
+		t.Fatal(err)
 	}
 }

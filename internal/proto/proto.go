@@ -55,18 +55,12 @@ const (
 	OpGetValue    Op = "get_value"
 	OpSelectWhere Op = "select_where"
 	OpCallMethod  Op = "call_method"
-	// Scenario-commit mutation verbs: the weak-integration binding of
-	// ui.Mutator, so a remote session can commit a simulation workspace
-	// through the server's normal (rule-guarded, WAL-durable) mutation
-	// path. Like call_method they are never retried.
-	OpScenarioInsert Op = "scenario_insert"
-	OpScenarioUpdate Op = "scenario_update"
-	OpScenarioDelete Op = "scenario_delete"
 	// OpTxn commits an atomic batch of mutations: the weak-integration
-	// binding of ui.TxnMutator. The server applies Request.TxnOps as one
-	// geodb transaction — one WAL group, one shared group-commit fsync —
-	// and answers with the OIDs its inserts allocated. All-or-nothing on
-	// the server, so like the other mutation verbs it is never retried.
+	// binding of ui.TxnMutator, which a remote session's scenario commit
+	// travels through as one request. The server applies Request.TxnOps as
+	// one geodb transaction — one WAL group, one shared group-commit fsync
+	// — and answers with the OIDs its inserts allocated. A retry could
+	// apply the batch twice, so like call_method it is never retried.
 	OpTxn Op = "txn"
 	// OpStats returns a snapshot of the server's metrics registry; it is
 	// the observability verb, outside the paper's primitive set.
@@ -169,8 +163,6 @@ type Response struct {
 	Value     *Value              `json:"value,omitempty"`
 	Cust      *spec.Customization `json:"cust,omitempty"`
 	Stats     *obs.Snapshot       `json:"stats,omitempty"`
-	// OID answers scenario_insert with the new instance's identity.
-	OID catalog.OID `json:"oid,omitempty"`
 	// OIDs answers the txn verb: one entry per op in request order, the
 	// allocated identity for inserts and zero for updates/deletes.
 	OIDs []catalog.OID `json:"oids,omitempty"`

@@ -41,18 +41,15 @@ var (
 	mRequestsTotal = obs.Default().Counter("gis_server_requests_total")
 	mInFlight      = obs.Default().Gauge("gis_server_inflight_requests")
 	mVerbSeconds   = map[proto.Op]*obs.Histogram{
-		proto.OpConnect:        obs.Default().Histogram(`gis_server_verb_seconds{verb="connect"}`, obs.LatencyBuckets),
-		proto.OpGetSchema:      obs.Default().Histogram(`gis_server_verb_seconds{verb="get_schema"}`, obs.LatencyBuckets),
-		proto.OpGetClass:       obs.Default().Histogram(`gis_server_verb_seconds{verb="get_class"}`, obs.LatencyBuckets),
-		proto.OpGetValue:       obs.Default().Histogram(`gis_server_verb_seconds{verb="get_value"}`, obs.LatencyBuckets),
-		proto.OpSelectWhere:    obs.Default().Histogram(`gis_server_verb_seconds{verb="select_where"}`, obs.LatencyBuckets),
-		proto.OpCallMethod:     obs.Default().Histogram(`gis_server_verb_seconds{verb="call_method"}`, obs.LatencyBuckets),
-		proto.OpScenarioInsert: obs.Default().Histogram(`gis_server_verb_seconds{verb="scenario_insert"}`, obs.LatencyBuckets),
-		proto.OpScenarioUpdate: obs.Default().Histogram(`gis_server_verb_seconds{verb="scenario_update"}`, obs.LatencyBuckets),
-		proto.OpScenarioDelete: obs.Default().Histogram(`gis_server_verb_seconds{verb="scenario_delete"}`, obs.LatencyBuckets),
-		proto.OpTxn:            obs.Default().Histogram(`gis_server_verb_seconds{verb="txn"}`, obs.LatencyBuckets),
-		proto.OpStats:          obs.Default().Histogram(`gis_server_verb_seconds{verb="stats"}`, obs.LatencyBuckets),
-		proto.OpTrace:          obs.Default().Histogram(`gis_server_verb_seconds{verb="trace"}`, obs.LatencyBuckets),
+		proto.OpConnect:     obs.Default().Histogram(`gis_server_verb_seconds{verb="connect"}`, obs.LatencyBuckets),
+		proto.OpGetSchema:   obs.Default().Histogram(`gis_server_verb_seconds{verb="get_schema"}`, obs.LatencyBuckets),
+		proto.OpGetClass:    obs.Default().Histogram(`gis_server_verb_seconds{verb="get_class"}`, obs.LatencyBuckets),
+		proto.OpGetValue:    obs.Default().Histogram(`gis_server_verb_seconds{verb="get_value"}`, obs.LatencyBuckets),
+		proto.OpSelectWhere: obs.Default().Histogram(`gis_server_verb_seconds{verb="select_where"}`, obs.LatencyBuckets),
+		proto.OpCallMethod:  obs.Default().Histogram(`gis_server_verb_seconds{verb="call_method"}`, obs.LatencyBuckets),
+		proto.OpTxn:         obs.Default().Histogram(`gis_server_verb_seconds{verb="txn"}`, obs.LatencyBuckets),
+		proto.OpStats:       obs.Default().Histogram(`gis_server_verb_seconds{verb="stats"}`, obs.LatencyBuckets),
+		proto.OpTrace:       obs.Default().Histogram(`gis_server_verb_seconds{verb="trace"}`, obs.LatencyBuckets),
 	}
 	mVerbOther = obs.Default().Histogram(`gis_server_verb_seconds{verb="other"}`, obs.LatencyBuckets)
 
@@ -569,40 +566,6 @@ func (s *Server) handle(req proto.Request) (resp proto.Response) {
 			return fail(err)
 		}
 		resp.Value = &wv
-	case proto.OpScenarioInsert:
-		m, ok := s.backend.(ui.Mutator)
-		if !ok {
-			return fail(ui.ErrCannotCommit)
-		}
-		values, err := proto.DecodeValues(req.Args)
-		if err != nil {
-			return fail(err)
-		}
-		oid, err := m.ScenarioInsert(req.Ctx, req.Schema, req.Class, values)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OID = oid
-	case proto.OpScenarioUpdate:
-		m, ok := s.backend.(ui.Mutator)
-		if !ok {
-			return fail(ui.ErrCannotCommit)
-		}
-		values, err := proto.DecodeValues(req.Args)
-		if err != nil {
-			return fail(err)
-		}
-		if err := m.ScenarioUpdate(req.Ctx, req.OID, values); err != nil {
-			return fail(err)
-		}
-	case proto.OpScenarioDelete:
-		m, ok := s.backend.(ui.Mutator)
-		if !ok {
-			return fail(ui.ErrCannotCommit)
-		}
-		if err := m.ScenarioDelete(req.Ctx, req.OID); err != nil {
-			return fail(err)
-		}
 	case proto.OpTxn:
 		m, ok := s.backend.(ui.TxnMutator)
 		if !ok {

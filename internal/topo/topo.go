@@ -15,6 +15,8 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/active"
 	"repro/internal/catalog"
@@ -108,8 +110,8 @@ func (c Constraint) Validate(cat *catalog.Catalog) error {
 type Guard struct {
 	db *geodb.DB
 	// Checks counts constraint evaluations; Vetoes counts violations
-	// blocked (B7 reporting).
-	Checks, Vetoes uint64
+	// blocked (B7 reporting). Rules run on every committer's goroutine.
+	Checks, Vetoes atomic.Uint64
 }
 
 // NewGuard returns a guard over the database.
@@ -140,27 +142,28 @@ func (g *Guard) Install(engine *active.Engine, c Constraint) error {
 	return nil
 }
 
-// check evaluates the constraint for a mutation event.
+// check evaluates the constraint for a mutation event against the view the
+// event carries: the state the mutation's transaction will commit against.
 func (g *Guard) check(c Constraint, e event.Event) error {
-	g.Checks++
+	g.Checks.Add(1)
 	newGeom, ok := eventGeometry(e)
 	if !ok {
 		return nil // no geometry in the mutation: nothing to constrain
 	}
-	offenders, err := g.related(c, newGeom, e.OID)
+	offenders, err := related(e.View, c, newGeom, e.OID)
 	if err != nil {
 		return err
 	}
 	switch c.Mode {
 	case Forbid:
 		if len(offenders) > 0 {
-			g.Vetoes++
+			g.Vetoes.Add(1)
 			return fmt.Errorf("%w: %s — %s %v %s (instance %v)",
 				ErrViolation, c.Name, c.Class, c.Relation, c.With, offenders[0])
 		}
 	case Require:
 		if len(offenders) == 0 {
-			g.Vetoes++
+			g.Vetoes.Add(1)
 			return fmt.Errorf("%w: %s — %s must be %v some %s",
 				ErrViolation, c.Name, c.Class, c.Relation, c.With)
 		}
@@ -168,44 +171,24 @@ func (g *Guard) check(c Constraint, e event.Event) error {
 	return nil
 }
 
-// related returns OIDs of instances of c.With standing in c.Relation with
-// the geometry, excluding self.
-func (g *Guard) related(c Constraint, gm geom.Geometry, self catalog.OID) ([]catalog.OID, error) {
-	var candidates []catalog.OID
-	var err error
+// wholePlane is the window of a Disjoint check: disjointness cannot be
+// window-pruned.
+var wholePlane = geom.Rect{Min: geom.Pt(math.Inf(-1), math.Inf(-1)), Max: geom.Pt(math.Inf(1), math.Inf(1))}
+
+// related returns OIDs of instances of c.With that view shows standing in
+// c.Relation with the geometry, excluding self.
+func related(view event.View, c Constraint, gm geom.Geometry, self catalog.OID) ([]catalog.OID, error) {
+	window := gm.Bounds()
 	if c.Relation == geom.Disjoint {
-		// Disjointness cannot be window-pruned.
-		instances, serr := g.db.Select(c.Schema, c.With, nil)
-		if serr != nil {
-			return nil, serr
-		}
-		for _, in := range instances {
-			candidates = append(candidates, in.OID)
-		}
-	} else {
-		candidates, err = g.db.Window(c.Schema, c.With, gm.Bounds())
-		if err != nil {
-			return nil, err
-		}
+		window = wholePlane
 	}
 	var out []catalog.OID
-	for _, oid := range candidates {
-		if oid == self {
-			continue
-		}
-		in, err := g.db.GetValue(event.Context{Application: "_topo"}, oid)
-		if err != nil {
-			return nil, err
-		}
-		other, ok := in.Geometry()
-		if !ok {
-			continue
-		}
-		if RelateGeometries(gm, other) == c.Relation {
+	err := view.Geometries(c.Schema, c.With, window, func(oid catalog.OID, other geom.Geometry) {
+		if oid != self && RelateGeometries(gm, other) == c.Relation {
 			out = append(out, oid)
 		}
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // eventGeometry extracts the first geometry from the mutation's new values
@@ -330,14 +313,15 @@ func (g *Guard) Certify(c Constraint) ([]Violation, error) {
 	if err != nil {
 		return nil, err
 	}
+	view := g.db.Begin(event.Context{}) // an empty transaction views committed state
 	var out []Violation
 	for _, in := range instances {
 		gm, ok := in.Geometry()
 		if !ok {
 			continue
 		}
-		g.Checks++
-		offenders, err := g.related(c, gm, in.OID)
+		g.Checks.Add(1)
+		offenders, err := related(view, c, gm, in.OID)
 		if err != nil {
 			return nil, err
 		}

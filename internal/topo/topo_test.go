@@ -2,6 +2,7 @@ package topo
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/active"
@@ -135,8 +136,8 @@ func TestRequireInsideZone(t *testing.T) {
 	if err := db.UpdateAttr(ctx, oid, "location", catalog.GeomVal(geom.Pt(60, 60))); err != nil {
 		t.Fatal(err)
 	}
-	if guard.Vetoes != 2 {
-		t.Fatalf("vetoes = %d", guard.Vetoes)
+	if guard.Vetoes.Load() != 2 {
+		t.Fatalf("vetoes = %d", guard.Vetoes.Load())
 	}
 }
 
@@ -319,5 +320,142 @@ func TestNonGeometryMutationsPass(t *testing.T) {
 	if _, err := db.InsertMap(ctx, "city", "Office", map[string]catalog.Value{
 		"label": catalog.TextVal("HQ")}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTxnChecksSeeEarlierOps checks a transaction's ops against the state
+// its earlier ops build: a buffered insert is a candidate, a buffered update
+// replaces the committed geometry and a buffered delete hides it.
+func TestTxnChecksSeeEarlierOps(t *testing.T) {
+	zonesDisjoint := Constraint{Name: "zones-disjoint", Schema: "city", Class: "Zone", With: "Zone",
+		Relation: geom.Overlap, Mode: Forbid}
+	poleInZone := Constraint{Name: "pole-in-zone", Schema: "city", Class: "Pole", With: "Zone",
+		Relation: geom.Inside, Mode: Require}
+	world := func(t *testing.T, cs ...Constraint) *geodb.DB {
+		db, engine, guard := cityWorld(t)
+		for _, c := range cs {
+			if err := guard.Install(engine, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	values := func(t *testing.T, db *geodb.DB, class string, m map[string]catalog.Value) []catalog.Value {
+		v, err := db.ValuesFromMap("city", class, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	zone := func(t *testing.T, db *geodb.DB, r geom.Rect) []catalog.Value {
+		return values(t, db, "Zone", map[string]catalog.Value{"region": catalog.GeomVal(r.AsPolygon())})
+	}
+	pole := func(t *testing.T, db *geodb.DB, x, y float64) []catalog.Value {
+		return values(t, db, "Pole", map[string]catalog.Value{"location": catalog.GeomVal(geom.Pt(x, y))})
+	}
+	commit := func(t *testing.T, txn *geodb.Txn) {
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("overlapping zones in one transaction", func(t *testing.T) {
+		db := world(t, zonesDisjoint)
+		txn := db.Begin(ctx)
+		if _, err := txn.Insert("city", "Zone", zone(t, db, geom.R(0, 0, 100, 100))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Insert("city", "Zone", zone(t, db, geom.R(50, 50, 150, 150))); !errors.Is(err, geodb.ErrVetoed) {
+			t.Fatalf("second overlapping zone: %v", err)
+		}
+		commit(t, txn)
+		if n := db.Count("city", "Zone"); n != 1 {
+			t.Fatalf("zones = %d, want 1", n)
+		}
+	})
+	t.Run("pole inside a zone of the same transaction", func(t *testing.T) {
+		db := world(t, poleInZone)
+		txn := db.Begin(ctx)
+		if _, err := txn.Insert("city", "Zone", zone(t, db, geom.R(1000, 1000, 1100, 1100))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Insert("city", "Pole", pole(t, db, 1050, 1050)); err != nil {
+			t.Fatalf("pole in the transaction's zone: %v", err)
+		}
+		commit(t, txn)
+		if db.Count("city", "Zone") != 1 || db.Count("city", "Pole") != 1 {
+			t.Fatalf("zones = %d, poles = %d, want 1 and 1", db.Count("city", "Zone"), db.Count("city", "Pole"))
+		}
+	})
+	t.Run("an update replaces the committed geometry", func(t *testing.T) {
+		db := world(t, zonesDisjoint)
+		a := insertZone(t, db, "a", geom.R(0, 0, 100, 100))
+		txn := db.Begin(ctx)
+		if err := txn.Update(a, zone(t, db, geom.R(200, 200, 300, 300))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Insert("city", "Zone", zone(t, db, geom.R(50, 50, 150, 150))); err != nil {
+			t.Fatalf("zone where the moved one stood: %v", err)
+		}
+		if _, err := txn.Insert("city", "Zone", zone(t, db, geom.R(250, 250, 350, 350))); !errors.Is(err, geodb.ErrVetoed) {
+			t.Fatalf("zone over the moved one: %v", err)
+		}
+		commit(t, txn)
+	})
+	t.Run("a delete hides the committed instance", func(t *testing.T) {
+		db := world(t, poleInZone)
+		z := insertZone(t, db, "center", geom.R(0, 0, 100, 100))
+		txn := db.Begin(ctx)
+		if err := txn.Delete(z); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txn.Insert("city", "Pole", pole(t, db, 50, 50)); !errors.Is(err, geodb.ErrVetoed) {
+			t.Fatalf("pole in a zone the transaction deleted: %v", err)
+		}
+		commit(t, txn)
+		if db.Count("city", "Zone") != 0 || db.Count("city", "Pole") != 0 {
+			t.Fatal("the deleted zone or the vetoed pole is still stored")
+		}
+	})
+}
+
+// TestGuardCountersConcurrent inserts guarded poles from several goroutines
+// at once: under -race, the counters must count every check and veto
+// without a data race.
+func TestGuardCountersConcurrent(t *testing.T) {
+	db, engine, guard := cityWorld(t)
+	insertZone(t, db, "center", geom.R(0, 0, 100, 100))
+	if err := guard.Install(engine, Constraint{
+		Name: "pole-in-zone", Schema: "city", Class: "Pole", With: "Zone",
+		Relation: geom.Inside, Mode: Require,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				x := float64(10 + i%80)
+				if i%3 == 0 {
+					x += 500 // outside the zone: vetoed
+				}
+				_, err := db.InsertMap(ctx, "city", "Pole", map[string]catalog.Value{
+					"location": catalog.GeomVal(geom.Pt(x, float64(10+w)))})
+				if i%3 == 0 && !errors.Is(err, geodb.ErrVetoed) || i%3 != 0 && err != nil {
+					t.Errorf("worker %d insert %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := guard.Checks.Load(); got != workers*each {
+		t.Errorf("checks = %d, want %d", got, workers*each)
+	}
+	if got := guard.Vetoes.Load(); got != workers*each/3 {
+		t.Errorf("vetoes = %d, want %d", got, workers*each/3)
 	}
 }

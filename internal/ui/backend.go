@@ -147,22 +147,3 @@ func (b *DirectBackend) SelectWhere(ctx event.Context, schema, class string, fil
 func (b *DirectBackend) CallMethod(oid catalog.OID, method string, args ...catalog.Value) (catalog.Value, error) {
 	return b.DB.CallMethod(oid, method, args...)
 }
-
-// scenarioCtx tags mutations replayed from a committed scenario;
-// CommitScenario grafts the interaction's trace identity onto it.
-var scenarioCtx = event.Context{Application: "_scenario_commit"}
-
-// ScenarioInsert implements Mutator: constraint rules guard the insert.
-func (b *DirectBackend) ScenarioInsert(ctx event.Context, schema, class string, values []catalog.Value) (catalog.OID, error) {
-	return b.DB.Insert(ctx, schema, class, values)
-}
-
-// ScenarioUpdate implements Mutator.
-func (b *DirectBackend) ScenarioUpdate(ctx event.Context, oid catalog.OID, values []catalog.Value) error {
-	return b.DB.Update(ctx, oid, values)
-}
-
-// ScenarioDelete implements Mutator.
-func (b *DirectBackend) ScenarioDelete(ctx event.Context, oid catalog.OID) error {
-	return b.DB.Delete(ctx, oid)
-}

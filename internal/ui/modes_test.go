@@ -2,13 +2,16 @@ package ui
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/active"
 	"repro/internal/catalog"
 	"repro/internal/event"
+	"repro/internal/geodb"
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // ruleVetoingInsertAt vetoes Pole inserts at exactly the given point.
@@ -133,6 +136,17 @@ func TestScenarioUpdateDeleteHypothetical(t *testing.T) {
 	if err := s.ScenarioDelete(hyp); err == nil {
 		t.Fatal("double delete of hypothetical object")
 	}
+	// A real object deleted in the scenario cannot be updated there either:
+	// the commit would delete it and then fail to update it.
+	if err := s.ScenarioDelete(w.poles[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScenarioUpdate(w.poles[0], poleValues(t, w, 3, 3)); !errors.Is(err, geodb.ErrNoInstance) {
+		t.Fatalf("update of a hypothetically deleted object: %v", err)
+	}
+	if err := s.CommitScenario(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestScenarioCommit(t *testing.T) {
@@ -166,8 +180,9 @@ func TestScenarioCommit(t *testing.T) {
 }
 
 func TestScenarioCommitGuardedByConstraints(t *testing.T) {
-	// Commit replays through the normal mutation path, so a PreInsert veto
-	// applies — the heart of simulation: test a hypothesis safely.
+	// Commit submits the scenario as one transaction whose ops pass the
+	// constraint rules, so a PreInsert veto refuses it — the heart of
+	// simulation: test a hypothesis safely.
 	w := newWorld(t, false)
 	veto := errors.New("forbidden region")
 	w.engine.AddRule(ruleVetoingInsertAt(geom.Pt(500, 500), veto))
@@ -195,12 +210,12 @@ func TestWeakBackendCannotCommit(t *testing.T) {
 	s.Connect()
 	s.StartScenario("x")
 	s.ScenarioInsert("phone_net", "Pole", poleValues(t, w, 1, 1))
-	if err := s.CommitScenario(); !errors.Is(err, ErrCannotCommit) {
-		t.Fatalf("commit over non-mutator: %v", err)
+	if err := s.CommitScenario(); !errors.Is(err, ErrNoTxn) {
+		t.Fatalf("commit over a backend without transactions: %v", err)
 	}
 }
 
-// nonMutatingBackend hides the Mutator capability.
+// nonMutatingBackend hides the TxnMutator capability.
 type nonMutatingBackend struct{ Backend }
 
 func TestViewRefresh(t *testing.T) {
@@ -299,12 +314,12 @@ func TestScenarioCommitRetryDoesNotDuplicate(t *testing.T) {
 	if err := s.CommitScenario(); err == nil {
 		t.Fatal("commit should fail on the vetoed insert")
 	}
-	// One good insert applied before the veto.
-	if got := w.db.Count("phone_net", "Pole"); got != 7 {
-		t.Fatalf("after failed commit: %d poles", got)
+	// The veto refuses the whole scenario: the good insert before it is not
+	// applied either.
+	if got := w.db.Count("phone_net", "Pole"); got != 6 {
+		t.Fatalf("after failed commit: %d poles, want 6", got)
 	}
-	// Correct the scenario and retry: the already-applied insert must not
-	// be replayed.
+	// Correct the scenario and retry: each good insert lands exactly once.
 	if err := s.ScenarioDelete(bad); err != nil {
 		t.Fatal(err)
 	}
@@ -346,5 +361,71 @@ func TestOpenClassZoomed(t *testing.T) {
 	// Zoom without a viewport payload is the benign generic behaviour.
 	if err := s.Interact("classset:Pole", "zoom", "click", nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScenarioCommitIsOneTransaction commits a scenario of several
+// mutations on a WAL-backed database: one group, one fsync. A vetoed
+// commit then changes nothing — not the database, not the workspace, not
+// the log.
+func TestScenarioCommitIsOneTransaction(t *testing.T) {
+	w := newWorldOn(t, false, geodb.Options{Name: "GEO", Path: filepath.Join(t.TempDir(), "geo.db")})
+	defer w.db.Close()
+	w.engine.AddRule(ruleVetoingInsertAt(geom.Pt(500, 500), errors.New("forbidden region")))
+	syncs := obs.Default().Counter("gis_wal_syncs_total")
+	s := NewSession(w.backend, w.builder, mariaCtx())
+	s.Connect()
+	location := func(oid catalog.OID) string {
+		t.Helper()
+		in, err := w.db.GetValue(mariaCtx(), oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := in.Geometry()
+		return g.WKT()
+	}
+
+	s.StartScenario("build-out")
+	s.ScenarioInsert("phone_net", "Pole", poleValues(t, w, 100, 100))
+	s.ScenarioInsert("phone_net", "Pole", poleValues(t, w, 200, 200))
+	s.ScenarioUpdate(w.poles[0], poleValues(t, w, 777, 777))
+	s.ScenarioDelete(w.poles[1])
+	before := syncs.Value()
+	if err := s.CommitScenario(); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs.Value() - before; got != 1 {
+		t.Fatalf("commit of 4 mutations took %d WAL syncs, want 1", got)
+	}
+	if got := w.db.Count("phone_net", "Pole"); got != 7 {
+		t.Fatalf("after commit: %d poles, want 7", got)
+	}
+	if got := location(w.poles[0]); got != "POINT (777 777)" {
+		t.Fatalf("moved pole at %s", got)
+	}
+
+	s.StartScenario("overreach")
+	s.ScenarioUpdate(w.poles[2], poleValues(t, w, 300, 300))
+	s.ScenarioInsert("phone_net", "Pole", poleValues(t, w, 400, 400))
+	s.ScenarioInsert("phone_net", "Pole", poleValues(t, w, 500, 500)) // vetoed
+	s.ScenarioDelete(w.poles[3])
+	sc, _ := s.Scenario()
+	shape := func() [3]int { return [3]int{len(sc.added), len(sc.updated), len(sc.deleted)} }
+	wantShape, wantLocation := shape(), location(w.poles[2])
+	before = syncs.Value()
+	if err := s.CommitScenario(); err == nil || !strings.Contains(err.Error(), "forbidden region") {
+		t.Fatalf("commit not vetoed: %v", err)
+	}
+	if got := syncs.Value() - before; got != 0 {
+		t.Fatalf("vetoed commit took %d WAL syncs", got)
+	}
+	if got := w.db.Count("phone_net", "Pole"); got != 7 {
+		t.Fatalf("after vetoed commit: %d poles, want 7", got)
+	}
+	if got := location(w.poles[2]); got != wantLocation {
+		t.Fatalf("vetoed commit moved the pole to %s", got)
+	}
+	if got, active := s.Scenario(); !active || got != sc || shape() != wantShape {
+		t.Fatalf("workspace changed by the vetoed commit: %v, want %v", shape(), wantShape)
 	}
 }

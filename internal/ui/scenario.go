@@ -3,6 +3,7 @@ package ui
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/event"
@@ -16,29 +17,23 @@ import (
 // session-private workspace of hypothetical inserts, updates and deletes
 // layered over the database. Windows opened while a scenario is active show
 // the merged view; the database itself is untouched until Commit, which
-// replays the hypothetical mutations through the normal mutation path — so
-// active constraint rules still guard them.
+// submits the whole workspace as one transaction — so active constraint
+// rules guard every op, and the database accepts or refuses the hypothesis
+// whole.
 
 // Errors returned by scenario operations.
 var (
 	ErrNoScenario     = errors.New("ui: no active scenario")
 	ErrScenarioActive = errors.New("ui: a scenario is already active")
-	ErrCannotCommit   = errors.New("ui: backend cannot commit scenarios")
 )
 
 // scenarioOIDBase keeps hypothetical OIDs far from real ones.
 const scenarioOIDBase catalog.OID = 1 << 62
 
-// Mutator is the optional backend capability scenario commit needs. The
-// strong-integration DirectBackend implements it in-process; the
-// weak-integration client implements it over the scenario_* protocol verbs.
-// The context carries the commit tag (so constraint rules match it) and the
-// interaction's trace identity.
-type Mutator interface {
-	ScenarioInsert(ctx event.Context, schema, class string, values []catalog.Value) (catalog.OID, error)
-	ScenarioUpdate(ctx event.Context, oid catalog.OID, values []catalog.Value) error
-	ScenarioDelete(ctx event.Context, oid catalog.OID) error
-}
+// scenarioCtx tags the transaction a committed scenario becomes (constraint
+// rules match on it); CommitScenario grafts the interaction's trace identity
+// onto it.
+var scenarioCtx = event.Context{Application: "_scenario_commit"}
 
 type scenarioObject struct {
 	oid    catalog.OID
@@ -121,6 +116,9 @@ func (s *Session) ScenarioUpdate(oid catalog.OID, values []catalog.Value) error 
 		}
 		return fmt.Errorf("%w: oid %d", geodb.ErrNoInstance, oid)
 	}
+	if s.scenario.deleted[oid] {
+		return fmt.Errorf("%w: oid %d (deleted in the scenario)", geodb.ErrNoInstance, oid)
+	}
 	s.scenario.updated[oid] = values
 	s.tracef("scenario %q: hypothetical update of %d", s.scenario.Name, oid)
 	return nil
@@ -176,52 +174,54 @@ func (s *Session) applyScenario(data ClassData) ClassData {
 	return out
 }
 
-// CommitScenario replays the workspace against the database through the
-// normal mutation path — active constraint rules apply, so a hypothetical
-// state violating topology fails here, which is precisely what simulation
-// is for. The database has no transactions; on an error the commit stops,
-// mutations already applied are *consumed from the workspace* (so a retry
-// after correcting the scenario resumes instead of duplicating), and the
-// remaining hypothetical state stays active for correction.
+// CommitScenario submits the workspace through the backend's TxnMutator as
+// one transaction under the scenario commit tag: deletes and then updates,
+// each in OID order, then inserts in creation order. Constraint rules check
+// every op against the transaction's earlier ones, so a hypothetical state
+// violating topology fails here — which is precisely what simulation is
+// for. On success the scenario clears; on any error neither the database
+// nor the workspace changes, so the hypothesis can be corrected and
+// committed again. A backend without transactions returns ErrNoTxn.
 func (s *Session) CommitScenario() (rerr error) {
 	if s.scenario == nil {
 		return ErrNoScenario
 	}
-	m, ok := s.backend.(Mutator)
+	m, ok := s.backend.(TxnMutator)
 	if !ok {
-		return ErrCannotCommit
+		return ErrNoTxn
 	}
 	sp, _ := s.startInteraction("commit_scenario")
 	sp.Set("scenario", s.scenario.Name)
 	defer func() { sp.SetError(rerr).Finish() }()
-	// Mutations replay under the commit tag (constraint rules match on it),
-	// stamped with this interaction's trace identity.
 	ctx := scenarioCtx
 	ctx.Trace = sp.Context()
 	sc := s.scenario
-	total := len(sc.added) + len(sc.updated) + len(sc.deleted)
-	for oid := range sc.deleted {
-		if err := m.ScenarioDelete(ctx, oid); err != nil {
-			return fmt.Errorf("scenario %q: delete %d: %w", sc.Name, oid, err)
-		}
-		delete(sc.deleted, oid)
+	ops := make([]TxnOp, 0, len(sc.deleted)+len(sc.updated)+len(sc.added))
+	for _, oid := range sortedOIDs(sc.deleted) {
+		ops = append(ops, TxnOp{Kind: TxnDelete, OID: oid})
 	}
-	for oid, values := range sc.updated {
-		if err := m.ScenarioUpdate(ctx, oid, values); err != nil {
-			return fmt.Errorf("scenario %q: update %d: %w", sc.Name, oid, err)
-		}
-		delete(sc.updated, oid)
+	for _, oid := range sortedOIDs(sc.updated) {
+		ops = append(ops, TxnOp{Kind: TxnUpdate, OID: oid, Values: sc.updated[oid]})
 	}
-	for len(sc.added) > 0 {
-		add := sc.added[0]
-		if _, err := m.ScenarioInsert(ctx, add.schema, add.class, add.values); err != nil {
-			return fmt.Errorf("scenario %q: insert %s.%s: %w", sc.Name, add.schema, add.class, err)
-		}
-		sc.added = sc.added[1:]
+	for _, add := range sc.added {
+		ops = append(ops, TxnOp{Kind: TxnInsert, Schema: add.schema, Class: add.class, Values: add.values})
 	}
-	s.tracef("scenario %q committed (%d mutations)", sc.Name, total)
+	if _, err := m.CommitTxn(ctx, ops); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	s.tracef("scenario %q committed (%d mutations)", sc.Name, len(ops))
 	s.scenario = nil
 	return nil
+}
+
+// sortedOIDs returns the map's keys in ascending order.
+func sortedOIDs[V any](m map[catalog.OID]V) []catalog.OID {
+	oids := make([]catalog.OID, 0, len(m))
+	for oid := range m {
+		oids = append(oids, oid)
+	}
+	slices.Sort(oids)
+	return oids
 }
 
 // OpenClassSimulated is OpenClass with the active scenario merged in; the

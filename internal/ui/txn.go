@@ -1,14 +1,13 @@
 package ui
 
-// Atomic mutation batches: the UI-layer binding of geodb's explicit
-// transactions (DESIGN.md §15). A TxnMutator commits a whole batch of
-// mutations as one transaction — one WAL group, one shared group-commit
-// fsync — so a session (or the scenario layer above it) can make a set of
-// related edits durable together instead of paying one fsync per mutation.
-// Like scenario commit, it is an optional backend capability: the
+// Atomic mutation batches: the UI-layer binding of geodb's transactions
+// (DESIGN.md §15). A TxnMutator commits a whole batch of mutations as one
+// transaction — one WAL group, one shared group-commit fsync — so a session
+// makes a set of related edits durable together, and the scenario layer
+// commits a hypothesis whole. It is an optional backend capability: the
 // strong-integration DirectBackend implements it in-process, the
 // weak-integration client over the txn protocol verb, and a backend that
-// lacks it (e.g. a read-only replica) simply does not satisfy the interface.
+// lacks it simply does not satisfy the interface.
 
 import (
 	"errors"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/event"
 )
 
-// ErrNoTxn rejects transactional commits on backends without the
-// capability (or with it administratively disabled).
+// ErrNoTxn rejects transactional commits, scenario commits among them, on
+// backends without the capability.
 var ErrNoTxn = errors.New("ui: backend cannot commit transactions")
 
 // TxnOpKind selects what a TxnOp does.
@@ -65,9 +64,10 @@ type TxnMutator interface {
 }
 
 // CommitTxn implements TxnMutator in-process: buffer every op on one geodb
-// transaction and commit it. Constraint rules guard each op at buffer time
-// (a veto fails the whole batch — unlike Txn's per-op veto semantics, a
-// batch caller has no way to react to a partial acceptance).
+// transaction and commit it. Constraint rules guard each op at buffer time,
+// against the batch's earlier ops (a veto fails the whole batch — unlike
+// Txn's per-op veto semantics, a batch caller has no way to react to a
+// partial acceptance).
 func (b *DirectBackend) CommitTxn(ctx event.Context, ops []TxnOp) ([]catalog.OID, error) {
 	t := b.DB.Begin(ctx)
 	defer t.Abort() // no-op after a successful Commit

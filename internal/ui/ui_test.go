@@ -56,7 +56,13 @@ type world struct {
 
 func newWorld(t testing.TB, withRules bool) *world {
 	t.Helper()
-	db := mustOpen(t, geodb.Options{Name: "GEO"})
+	return newWorldOn(t, withRules, geodb.Options{Name: "GEO"})
+}
+
+// newWorldOn is newWorld on a database opened with opts.
+func newWorldOn(t testing.TB, withRules bool, opts geodb.Options) *world {
+	t.Helper()
+	db := mustOpen(t, opts)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {

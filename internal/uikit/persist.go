@@ -132,19 +132,20 @@ func ensureLibraryClass(db *geodb.DB) error {
 }
 
 // SaveToDB stores every prototype of the library as InterfaceObject
-// instances, replacing prior contents.
+// instances, replacing prior contents in one transaction: one commit, and a
+// prototype the database refuses leaves the previous library stored.
 func (l *Library) SaveToDB(db *geodb.DB) error {
 	if err := ensureLibraryClass(db); err != nil {
 		return err
 	}
-	ctx := event.Context{Application: "_ui_library"}
-	// Clear previous definitions.
 	existing, err := db.Select(LibrarySchema, LibraryClass, nil)
 	if err != nil {
 		return err
 	}
+	txn := db.Begin(event.Context{Application: "_ui_library"})
+	defer txn.Abort() // a no-op once committed
 	for _, in := range existing {
-		if err := db.Delete(ctx, in.OID); err != nil {
+		if err := txn.Delete(in.OID); err != nil {
 			return err
 		}
 	}
@@ -157,15 +158,18 @@ func (l *Library) SaveToDB(db *geodb.DB) error {
 		if err != nil {
 			return fmt.Errorf("uikit: marshal %q: %w", name, err)
 		}
-		_, err = db.InsertMap(ctx, LibrarySchema, LibraryClass, map[string]catalog.Value{
+		values, err := db.ValuesFromMap(LibrarySchema, LibraryClass, map[string]catalog.Value{
 			"obj_name":   catalog.TextVal(name),
 			"definition": catalog.BitmapVal(doc),
 		})
 		if err != nil {
+			return err
+		}
+		if _, err := txn.Insert(LibrarySchema, LibraryClass, values); err != nil {
 			return fmt.Errorf("uikit: persist %q: %w", name, err)
 		}
 	}
-	return nil
+	return txn.Commit()
 }
 
 // LoadFromDB reads the persisted library from the database.

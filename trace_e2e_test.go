@@ -89,8 +89,8 @@ func TestEndToEndTraceAcrossProcessesAndLayers(t *testing.T) {
 	if _, err := sess.OpenClass(workload.SchemaName, "Pole"); err != nil {
 		t.Fatal(err)
 	}
-	// A scenario commit drives the mutation path: wire verb → db.Insert →
-	// WAL commit.
+	// A scenario commit drives the mutation path: the txn verb → one geodb
+	// transaction → WAL commit.
 	if err := sess.StartScenario("expansion"); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEndToEndTraceAcrossProcessesAndLayers(t *testing.T) {
 			if _, ok := spanByName(td, "ui.commit_scenario"); !ok {
 				continue
 			}
-			if _, ok := spanByName(td, "server.scenario_insert"); ok {
+			if _, ok := spanByName(td, "server.txn"); ok {
 				commit, found = td, true
 				break
 			}
@@ -137,9 +137,9 @@ func TestEndToEndTraceAcrossProcessesAndLayers(t *testing.T) {
 	// One coherent tree: every layer present, all on one trace ID, each
 	// span parented on the layer above it.
 	uiSpan, _ := spanByName(commit, "ui.commit_scenario")
-	cliSpan, okCli := spanByName(commit, "client.scenario_insert")
-	srvSpan, okSrv := spanByName(commit, "server.scenario_insert")
-	dbSpan, okDB := spanByName(commit, "geodb.insert")
+	cliSpan, okCli := spanByName(commit, "client.txn")
+	srvSpan, okSrv := spanByName(commit, "server.txn")
+	dbSpan, okDB := spanByName(commit, "geodb.txn_commit")
 	walSpan, okWAL := spanByName(commit, "wal.commit")
 	if !okCli || !okSrv || !okDB || !okWAL {
 		names := make([]string, 0, len(commit.Spans))
