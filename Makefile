@@ -46,7 +46,8 @@ lint:
 		echo "gislint missed the seeded triggering cycle"; exit 1; fi
 
 # Short fuzz smoke over the torn-input decoders: the wire-protocol frame
-# reader and the WAL record scanner. -fuzzminimizetime bounds how long a
+# reader, the WAL record scanner, and the record codec's geometry-only read
+# checked against its whole-record decode. -fuzzminimizetime bounds how long a
 # new interesting input is minimized; unbounded, FuzzWALDecode spent all but
 # its first 3 s of the budget minimizing instead of fuzzing. Deeper runs
 # raise -fuzztime, e.g.
@@ -54,6 +55,7 @@ lint:
 fuzz:
 	go test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s -fuzzminimizetime=1s ./internal/proto
 	go test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
+	go test -run='^$$' -fuzz=FuzzDecodeRecordShape -fuzztime=10s -fuzzminimizetime=1s ./internal/catalog
 
 # Per-package coverage floor over the packages that guard data: storage
 # (WAL, crash matrix), the database, the rule engine, the wire protocol —

@@ -187,7 +187,7 @@ func BenchmarkWindowBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	instances, err := db.Select(workload.SchemaName, "Pole", nil)
+	shapes, err := db.Shapes(workload.SchemaName, "Pole")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,9 +204,9 @@ func BenchmarkWindowBuild(b *testing.B) {
 		{"Schema/hardwired", func() error { _, err := hwGeneric.SchemaWindow(info); return err }},
 		{"Schema/generic", func() error { _, err := bld.BuildSchemaWindow(info, nil); return err }},
 		{"Schema/customized", func() error { _, err := bld.BuildSchemaWindow(info, schemaCust); return err }},
-		{"ClassSet/hardwired", func() error { _, err := hw.ClassWindow(cinfo, instances); return err }},
-		{"ClassSet/generic", func() error { _, err := bld.BuildClassWindow(cinfo, instances, nil); return err }},
-		{"ClassSet/customized", func() error { _, err := bld.BuildClassWindow(cinfo, instances, classCust); return err }},
+		{"ClassSet/hardwired", func() error { _, err := hw.ClassWindow(cinfo, shapes); return err }},
+		{"ClassSet/generic", func() error { _, err := bld.BuildClassWindow(cinfo, shapes, nil); return err }},
+		{"ClassSet/customized", func() error { _, err := bld.BuildClassWindow(cinfo, shapes, classCust); return err }},
 		{"Instance/hardwired", func() error { _, err := hw.InstanceWindow(inst); return err }},
 		{"Instance/generic", func() error { _, err := bld.BuildInstanceWindow(inst, nil); return err }},
 		{"Instance/customized", func() error { _, err := bld.BuildInstanceWindow(inst, instCust); return err }},
@@ -547,11 +547,11 @@ func BenchmarkRender(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	instances, err := f.Sys.DB.Select(workload.SchemaName, "Pole", nil)
+	shapes, err := f.Sys.DB.Shapes(workload.SchemaName, "Pole")
 	if err != nil {
 		b.Fatal(err)
 	}
-	win, err := f.Sys.Builder.BuildClassWindow(info, instances, nil)
+	win, err := f.Sys.Builder.BuildClassWindow(info, shapes, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

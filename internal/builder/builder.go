@@ -121,8 +121,8 @@ func hierarchyItems(info geodb.SchemaInfo) []string {
 // BuildClassWindow assembles a Class set window: the operations menu, the
 // control-area class widget (the default button or the customization's
 // library prototype), the attribute inventory, and the presentation area
-// with one shape per spatial instance in the extension.
-func (b *Builder) BuildClassWindow(info geodb.ClassInfo, instances []geodb.Instance, cc *spec.ClassCust) (*uikit.Widget, error) {
+// with one drawn shape per shape of the extension.
+func (b *Builder) BuildClassWindow(info geodb.ClassInfo, shapes []geodb.Shape, cc *spec.ClassCust) (*uikit.Widget, error) {
 	sw := obs.Start(buildClassSeconds)
 	name := info.Class.Name
 	win := uikit.New(uikit.KindWindow, "classset:"+name)
@@ -162,15 +162,11 @@ func (b *Builder) BuildClassWindow(info geodb.ClassInfo, instances []geodb.Insta
 	}
 	area := uikit.New(uikit.KindDrawingArea, "map").Bind("pick", "classset.pick_instance")
 	lower := strings.ToLower(name)
-	for _, in := range instances {
-		g, ok := in.Geometry()
-		if !ok {
-			continue
-		}
+	for _, sh := range shapes {
 		area.Shapes = append(area.Shapes, uikit.Shape{
-			OID:    uint64(in.OID),
-			Geom:   g,
-			Label:  fmt.Sprintf("%s-%d", lower, in.OID),
+			OID:    uint64(sh.OID),
+			Geom:   sh.Geom,
+			Label:  fmt.Sprintf("%s-%d", lower, sh.OID),
 			Format: format,
 		})
 	}

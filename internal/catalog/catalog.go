@@ -14,6 +14,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -207,11 +208,15 @@ type Schema struct {
 	Name    string
 	classes map[string]*Class
 	order   []string // declaration order, for deterministic listings
+	// effective holds each class's inherited and own attributes, parents
+	// first. A class cannot change once DefineClass accepts it, so the list
+	// is built there once.
+	effective map[string][]Field
 }
 
 // NewSchema returns an empty schema.
 func NewSchema(name string) *Schema {
-	return &Schema{Name: name, classes: make(map[string]*Class)}
+	return &Schema{Name: name, classes: make(map[string]*Class), effective: make(map[string][]Field)}
 }
 
 // Classes returns class names in declaration order.
@@ -237,27 +242,14 @@ func (s *Schema) HasClass(name string) bool {
 }
 
 // EffectiveAttrs returns the class's inherited and own attributes, parents
-// first. It follows the Parent chain inside this schema.
+// first. The list is shared and capacity-clipped: callers may append to it
+// (which copies) but must not assign its elements.
 func (s *Schema) EffectiveAttrs(className string) ([]Field, error) {
-	var chain []*Class
-	seen := map[string]bool{}
-	for name := className; name != ""; {
-		if seen[name] {
-			return nil, fmt.Errorf("%w: inheritance cycle at %q", ErrInvalidClass, name)
-		}
-		seen[name] = true
-		c, err := s.Class(name)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, c)
-		name = c.Parent
+	attrs, ok := s.effective[className]
+	if !ok {
+		return nil, fmt.Errorf("%w: class %q in schema %q", ErrUnknown, className, s.Name)
 	}
-	var out []Field
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i].Attrs...)
-	}
-	return out, nil
+	return attrs[:len(attrs):len(attrs)], nil
 }
 
 // EffectiveMethods returns inherited and own methods, parents first, with
@@ -379,21 +371,17 @@ func (c *Catalog) DefineClass(schemaName string, cls Class) error {
 	if _, ok := s.classes[cls.Name]; ok {
 		return fmt.Errorf("%w: class %q in schema %q", ErrDuplicate, cls.Name, schemaName)
 	}
+	var inherited []Field
 	if cls.Parent != "" {
 		if _, ok := s.classes[cls.Parent]; !ok {
 			return fmt.Errorf("%w: parent class %q of %q", ErrUnknown, cls.Parent, cls.Name)
 		}
+		inherited = s.effective[cls.Parent]
 	}
 	seen := map[string]bool{}
 	// Inherited names must not be shadowed.
-	if cls.Parent != "" {
-		inherited, err := s.EffectiveAttrs(cls.Parent)
-		if err != nil {
-			return err
-		}
-		for _, a := range inherited {
-			seen[a.Name] = true
-		}
+	for _, a := range inherited {
+		seen[a.Name] = true
 	}
 	for _, a := range cls.Attrs {
 		if a.Name == "" {
@@ -419,6 +407,7 @@ func (c *Catalog) DefineClass(schemaName string, cls Class) error {
 	}
 	stored := cls // copy
 	s.classes[cls.Name] = &stored
+	s.effective[cls.Name] = slices.Concat(inherited, cls.Attrs)
 	s.order = append(s.order, cls.Name)
 	return nil
 }

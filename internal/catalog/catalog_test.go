@@ -334,6 +334,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{1, 1},         // integer with no payload... varint of empty
 		{2, 1, 2, 3},   // two attrs declared, one present
 		{1, 3, 5, 'a'}, // text length 5, one byte
+		{1, 7, 2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10}, // multipoint of 2^60 points
 	}
 	for i, b := range bad {
 		if _, err := DecodeRecord(b); err == nil {
@@ -373,5 +374,47 @@ func TestCatalogSchemasSorted(t *testing.T) {
 	got := c.Schemas()
 	if len(got) != 3 || got[0] != "alpha" || got[1] != "mid" || got[2] != "zeta" {
 		t.Fatalf("schemas = %v", got)
+	}
+}
+
+func TestEffectiveAttrsComputedOnce(t *testing.T) {
+	c := newPhoneNet(t)
+	s, err := c.Schema("phone_net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.EffectiveAttrs("Pole"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("EffectiveAttrs allocated %.0f times per call, want 0", allocs)
+	}
+	attrs, err := s.EffectiveAttrs("Supplier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(attrs, F("intruder", Scalar(KindText)))
+	again, err := s.EffectiveAttrs("Supplier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != 2 || again[0].Name != "name" || again[1].Name != "city" {
+		t.Fatalf("an append changed the catalog: %v", again)
+	}
+	// A restored catalog computes the lists too.
+	restored := New()
+	if err := restored.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := restored.Schema("phone_net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rs.EffectiveAttrs("Pole"); err != nil || len(got) != 6 {
+		t.Fatalf("restored Pole attrs = %v, %v", got, err)
+	}
+	if _, err := s.EffectiveAttrs("Nope"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("unknown class: %v", err)
 	}
 }

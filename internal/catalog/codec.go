@@ -149,6 +149,46 @@ func DecodeRecord(data []byte) ([]Value, error) {
 	return values, nil
 }
 
+// DecodeRecordShape reads what a map draws from a record produced by
+// EncodeRecord. It fills head with the record's first len(head) values (or
+// as many as it holds) and returns its value count and the first value
+// after the head whose kind is KindGeometry, as a geometry: nil when there
+// is none or that value holds no geometry. For a typechecked record whose
+// head is an envelope, that is the instance's first non-null geometry
+// attribute. It accepts exactly the records DecodeRecord accepts, checking
+// every value through to the last byte, but steps over the values it does
+// not return without allocating.
+func DecodeRecordShape(data []byte, head []Value) (count int, g geom.Geometry, err error) {
+	d := &decoder{buf: data}
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(data)) {
+		return 0, nil, fmt.Errorf("%w: attr count %d exceeds record size", ErrBadRecord, n)
+	}
+	found := false
+	for i := 0; i < int(n); i++ {
+		switch {
+		case i < len(head):
+			head[i], err = d.value()
+		case !found && d.pos < len(data) && Kind(data[d.pos]) == KindGeometry:
+			d.pos++
+			g, err = d.geometry()
+			found = true
+		default:
+			err = d.skip()
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("attr %d: %w", i, err)
+		}
+	}
+	if d.pos != len(data) {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(data)-d.pos)
+	}
+	return int(n), g, nil
+}
+
 type decoder struct {
 	buf []byte
 	pos int
@@ -277,6 +317,105 @@ func (d *decoder) value() (Value, error) {
 	}
 }
 
+// skip steps over one value, failing on exactly the inputs value fails on.
+func (d *decoder) skip() error {
+	tag, err := d.byte()
+	if err != nil {
+		return err
+	}
+	switch Kind(tag) {
+	case 0:
+		return nil
+	case KindInteger:
+		_, err := d.varint()
+		return err
+	case KindFloat:
+		_, err := d.float()
+		return err
+	case KindText, KindBitmap:
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		_, err = d.bytes(n)
+		return err
+	case KindBool:
+		_, err := d.byte()
+		return err
+	case KindTuple:
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(d.buf)) {
+			return fmt.Errorf("%w: tuple arity %d", ErrBadRecord, n)
+		}
+		for i := uint64(0); i < n; i++ {
+			if err := d.skip(); err != nil {
+				return err
+			}
+		}
+		return nil
+	case KindReference:
+		_, err := d.uvarint()
+		return err
+	case KindGeometry:
+		return d.skipGeometry()
+	default:
+		return fmt.Errorf("%w: unknown kind tag %d", ErrBadRecord, tag)
+	}
+}
+
+// skipGeometry steps over a geometry payload, failing on exactly the inputs
+// geometry fails on.
+func (d *decoder) skipGeometry() error {
+	tag, err := d.byte()
+	if err != nil {
+		return err
+	}
+	points := func(what string) error {
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(d.buf))/16 {
+			return fmt.Errorf("%w: %s size %d", ErrBadRecord, what, n)
+		}
+		_, err = d.bytes(16 * n)
+		return err
+	}
+	switch geom.Type(tag) {
+	case 0:
+		return nil
+	case geom.TypePoint:
+		_, err := d.bytes(16)
+		return err
+	case geom.TypeMultiPoint:
+		return points("multipoint")
+	case geom.TypeLineString:
+		return points("linestring")
+	case geom.TypePolygon:
+		rings, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if rings == 0 || rings > uint64(len(d.buf)) {
+			return fmt.Errorf("%w: polygon with %d rings", ErrBadRecord, rings)
+		}
+		for i := uint64(0); i < rings; i++ {
+			if err := points("ring"); err != nil {
+				return err
+			}
+		}
+		return nil
+	case geom.TypeRect:
+		_, err := d.bytes(32)
+		return err
+	default:
+		return fmt.Errorf("%w: unknown geometry tag %d", ErrBadRecord, tag)
+	}
+}
+
 func (d *decoder) geometry() (geom.Geometry, error) {
 	tag, err := d.byte()
 	if err != nil {
@@ -292,7 +431,7 @@ func (d *decoder) geometry() (geom.Geometry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n*16 > uint64(len(d.buf)) {
+		if n > uint64(len(d.buf))/16 {
 			return nil, fmt.Errorf("%w: multipoint size %d", ErrBadRecord, n)
 		}
 		mp := make(geom.MultiPoint, n)
@@ -308,7 +447,7 @@ func (d *decoder) geometry() (geom.Geometry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n*16 > uint64(len(d.buf)) {
+		if n > uint64(len(d.buf))/16 {
 			return nil, fmt.Errorf("%w: linestring size %d", ErrBadRecord, n)
 		}
 		ls := make(geom.LineString, n)
@@ -332,7 +471,7 @@ func (d *decoder) geometry() (geom.Geometry, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n*16 > uint64(len(d.buf)) {
+			if n > uint64(len(d.buf))/16 {
 				return nil, fmt.Errorf("%w: ring size %d", ErrBadRecord, n)
 			}
 			r := make(geom.Ring, n)

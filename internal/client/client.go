@@ -471,21 +471,18 @@ func (c *Client) decodeClass(resp proto.Response) (ui.ClassData, *spec.Customiza
 	if resp.Class == nil {
 		return ui.ClassData{}, nil, fmt.Errorf("%w: missing class payload", proto.ErrRemote)
 	}
+	shapes, err := proto.DecodeShapes(resp.Class.Shapes)
+	if err != nil {
+		return ui.ClassData{}, nil, err
+	}
 	data := ui.ClassData{
 		Info: geodb.ClassInfo{
 			Schema:       resp.Class.Schema,
 			Class:        resp.Class.Class,
 			Attrs:        resp.Class.Attrs,
-			OIDs:         resp.Class.OIDs,
 			GeometryAttr: resp.Class.GeometryAttr,
 		},
-	}
-	for _, wi := range resp.Class.Instances {
-		in, err := proto.DecodeInstance(wi)
-		if err != nil {
-			return ui.ClassData{}, nil, err
-		}
-		data.Instances = append(data.Instances, in)
+		Instances: shapes,
 	}
 	return data, resp.Cust, nil
 }

@@ -532,35 +532,101 @@ func (db *DB) lookup(oid catalog.OID) (Instance, error) {
 
 // lookupLocked is lookup for callers already holding db.mu (either mode).
 func (db *DB) lookupLocked(oid catalog.OID) (Instance, error) {
-	meta, ok := db.instances[oid]
-	if !ok {
-		return Instance{}, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
-	}
-	data, err := db.heap.Get(meta.rid)
+	meta, data, err := db.recordLocked(oid)
 	if err != nil {
-		return Instance{}, fmt.Errorf("geodb: read instance %d: %w", oid, err)
+		return Instance{}, err
 	}
-	tag, storedOID, storedSchema, storedClass, values, err := decodeEnvelope(data)
+	all, err := catalog.DecodeRecord(data)
 	if err != nil {
 		return Instance{}, fmt.Errorf("geodb: decode instance %d: %w", oid, err)
 	}
-	if tag != recTagObject || storedOID != oid || storedSchema != meta.schema || storedClass != meta.class {
-		return Instance{}, fmt.Errorf("%w: record identity mismatch for oid %d (%d %s.%s)",
-			ErrCorrupt, oid, storedOID, storedSchema, storedClass)
+	attrs, err := db.checkObject(oid, meta, all, len(all))
+	if err != nil {
+		return Instance{}, err
+	}
+	return Instance{OID: oid, Schema: meta.schema, Class: meta.class, Attrs: attrs, Values: all[objectEnvelope:]}, nil
+}
+
+// Shape is what a map draws of an instance: its OID and the geometry
+// Instance.Geometry returns. A Class set window is built from shapes, so
+// its reads skip every other attribute.
+type Shape struct {
+	OID  catalog.OID
+	Geom geom.Geometry
+}
+
+// Shape returns the instance's shape; ok is false when it has no geometry.
+func (in Instance) Shape() (Shape, bool) {
+	g, ok := in.Geometry()
+	return Shape{OID: in.OID, Geom: g}, ok
+}
+
+// shape reads oid's geometry, nil when it has none. It takes the read lock
+// for the one record.
+func (db *DB) shape(oid catalog.OID) (geom.Geometry, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.shapeLocked(oid)
+}
+
+// shapeLocked returns what lookupLocked(oid).Geometry() would, checking the
+// same envelope and value count, but decodes only the envelope and that
+// geometry. The geometry is decoded from the record on every read; no copy
+// is kept. Callers hold db.mu (either mode).
+func (db *DB) shapeLocked(oid catalog.OID) (geom.Geometry, error) {
+	meta, data, err := db.recordLocked(oid)
+	if err != nil {
+		return nil, err
+	}
+	var env [objectEnvelope]catalog.Value
+	n, g, err := catalog.DecodeRecordShape(data, env[:])
+	if err != nil {
+		return nil, fmt.Errorf("geodb: decode instance %d: %w", oid, err)
+	}
+	if _, err := db.checkObject(oid, meta, env[:min(n, objectEnvelope)], n); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// recordLocked reads oid's stored record. Callers hold db.mu.
+func (db *DB) recordLocked(oid catalog.OID) (instanceMeta, []byte, error) {
+	meta, ok := db.instances[oid]
+	if !ok {
+		return meta, nil, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
+	}
+	data, err := db.heap.Get(meta.rid)
+	if err != nil {
+		return meta, nil, fmt.Errorf("geodb: read instance %d: %w", oid, err)
+	}
+	return meta, data, nil
+}
+
+// checkObject verifies a decoded record against the directory entry it was
+// read through: head holds its leading values, at least the envelope for an
+// object record, and count its value count. It returns the class's
+// effective attributes.
+func (db *DB) checkObject(oid catalog.OID, meta instanceMeta, head []catalog.Value, count int) ([]catalog.Field, error) {
+	if len(head) < objectEnvelope || head[0].Kind != catalog.KindInteger || head[0].Int != recTagObject {
+		return nil, fmt.Errorf("%w: oid %d: not an object record", ErrCorrupt, oid)
+	}
+	if catalog.OID(head[1].Int) != oid || head[2].Text != meta.schema || head[3].Text != meta.class {
+		return nil, fmt.Errorf("%w: record identity mismatch for oid %d (%d %s.%s)",
+			ErrCorrupt, oid, head[1].Int, head[2].Text, head[3].Text)
 	}
 	s, err := db.cat.Schema(meta.schema)
 	if err != nil {
-		return Instance{}, err
+		return nil, err
 	}
 	attrs, err := s.EffectiveAttrs(meta.class)
 	if err != nil {
-		return Instance{}, err
+		return nil, err
 	}
-	if len(values) != len(attrs) {
-		return Instance{}, fmt.Errorf("geodb: instance %d has %d values for %d attributes",
-			oid, len(values), len(attrs))
+	if count-objectEnvelope != len(attrs) {
+		return nil, fmt.Errorf("geodb: instance %d has %d values for %d attributes",
+			oid, count-objectEnvelope, len(attrs))
 	}
-	return Instance{OID: oid, Schema: meta.schema, Class: meta.class, Attrs: attrs, Values: values}, nil
+	return attrs, nil
 }
 
 // typecheck validates values against the class's effective attributes and

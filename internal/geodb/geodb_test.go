@@ -185,11 +185,15 @@ func TestGetClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.OIDs) != 5 {
-		t.Fatalf("extension size = %d", len(info.OIDs))
+	shapes, err := db.Shapes("phone_net", "Pole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shapes) != 5 {
+		t.Fatalf("extension size = %d", len(shapes))
 	}
 	for i := range oids {
-		if info.OIDs[i] != oids[i] {
+		if shapes[i].OID != oids[i] {
 			t.Fatal("extension must preserve insertion order")
 		}
 	}
@@ -338,35 +342,11 @@ func TestWindowQueriesIndexVsScan(t *testing.T) {
 	}
 }
 
-func TestWindowExact(t *testing.T) {
-	db := buildPhoneNet(t)
-	// A duct whose bounding box intersects the window but whose line does not.
-	if _, err := db.InsertMap(testCtx, "phone_net", "Duct", map[string]catalog.Value{
-		"duct_kind": catalog.TextVal("underground"),
-		"duct_path": catalog.GeomVal(geom.LineString{geom.Pt(0, 0), geom.Pt(10, 10)}),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Window in the empty corner of the diagonal's bbox.
-	w := geom.R(0, 8, 2, 10)
-	loose, _ := db.Window("phone_net", "Duct", w)
-	exact, _ := db.WindowExact("phone_net", "Duct", w)
-	if len(loose) != 1 {
-		t.Fatalf("bbox query should hit: %v", loose)
-	}
-	if len(exact) != 0 {
-		t.Fatalf("exact query should miss: %v", exact)
-	}
-	onLine, _ := db.WindowExact("phone_net", "Duct", geom.R(4, 4, 6, 6))
-	if len(onLine) != 1 {
-		t.Fatalf("exact query on the line should hit: %v", onLine)
-	}
-}
-
 // TestWindowConcurrentDelete races map zooms against a writer that inserts
 // and deletes a pole inside the window. A pole deleted between the index
 // search and its read must drop out of the result, not fail the zoom with
-// ErrNoInstance.
+// ErrNoInstance. Each insert reuses the room the last delete freed, so
+// the reads also race slot reuse on the same page.
 func TestWindowConcurrentDelete(t *testing.T) {
 	db := buildPhoneNet(t)
 	w := geom.R(0, 0, 10, 10)
@@ -401,14 +381,8 @@ func TestWindowConcurrentDelete(t *testing.T) {
 	}()
 	<-started
 	for i := 0; i < 3000; i++ {
-		if _, err := db.InstancesInWindow("phone_net", "Pole", w); err != nil {
-			t.Fatalf("InstancesInWindow, read %d: %v", i, err)
-		}
-		if _, err := db.WindowExact("phone_net", "Pole", w); err != nil {
-			t.Fatalf("WindowExact, read %d: %v", i, err)
-		}
-		if _, err := db.RelateQuery("phone_net", "Pole", w.AsPolygon(), geom.Inside); err != nil {
-			t.Fatalf("RelateQuery, read %d: %v", i, err)
+		if _, err := db.ShapesInWindow("phone_net", "Pole", w); err != nil {
+			t.Fatalf("ShapesInWindow, read %d: %v", i, err)
 		}
 	}
 }
@@ -459,59 +433,6 @@ func TestNearest(t *testing.T) {
 	if _, err := db.Nearest("phone_net", "Supplier", geom.Pt(0, 0), 1); err == nil {
 		t.Fatal("nearest on non-spatial class should fail")
 	}
-}
-
-func TestRelateQuery(t *testing.T) {
-	db := mustOpen(t, Options{})
-	if err := db.DefineSchema("city"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DefineClass("city", catalog.Class{
-		Name: "Zone",
-		Attrs: []catalog.Field{
-			catalog.F("name", catalog.Scalar(catalog.KindText)),
-			catalog.F("region", catalog.Scalar(catalog.KindGeometry)),
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sq := func(x0, y0, x1, y1 float64) geom.Geometry {
-		return geom.Polygon{Outer: geom.Ring{geom.Pt(x0, y0), geom.Pt(x1, y0), geom.Pt(x1, y1), geom.Pt(x0, y1)}}
-	}
-	mustIns := func(name string, g geom.Geometry) catalog.OID {
-		oid, err := db.InsertMap(testCtx, "city", "Zone", map[string]catalog.Value{
-			"name": catalog.TextVal(name), "region": catalog.GeomVal(g),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return oid
-	}
-	inside := mustIns("inside", sq(2, 2, 3, 3))
-	overlap := mustIns("overlap", sq(4, 4, 8, 8))
-	disjoint := mustIns("disjoint", sq(20, 20, 22, 22))
-	meet := mustIns("meet", sq(5, 0, 7, 2)) // shares y=2 edge partially? probe below
-	probe := geom.Polygon{Outer: geom.Ring{geom.Pt(0, 2), geom.Pt(5, 2), geom.Pt(5, 5), geom.Pt(0, 5)}}
-	// probe is rect (0,2)-(5,5). inside: (2,2)-(3,3) coveredBy (touches edge y=2)... careful.
-	check := func(rel geom.Relation, want ...catalog.OID) {
-		t.Helper()
-		got, err := db.RelateQuery("city", "Zone", probe, rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: got %v, want %v", rel, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: got %v, want %v", rel, got, want)
-			}
-		}
-	}
-	check(geom.CoveredBy, inside) // touches probe boundary at y=2
-	check(geom.Overlap, overlap)
-	check(geom.Disjoint, disjoint)
-	check(geom.Meet, meet)
 }
 
 func TestMethods(t *testing.T) {

@@ -24,6 +24,10 @@ const (
 	recTagCatalog = 2
 )
 
+// objectEnvelope counts the values an object record holds before its
+// attribute values: the tag, the OID, the schema and the class.
+const objectEnvelope = 4
+
 // ErrCorrupt wraps recovery failures.
 var ErrCorrupt = errors.New("geodb: corrupt database file")
 
@@ -57,10 +61,10 @@ func decodeEnvelope(data []byte) (tag int64, oid catalog.OID, schema, class stri
 	}
 	switch all[0].Int {
 	case recTagObject:
-		if len(all) < 4 {
+		if len(all) < objectEnvelope {
 			return 0, 0, "", "", nil, fmt.Errorf("%w: short object envelope", ErrCorrupt)
 		}
-		return recTagObject, catalog.OID(all[1].Int), all[2].Text, all[3].Text, all[4:], nil
+		return recTagObject, catalog.OID(all[1].Int), all[2].Text, all[3].Text, all[objectEnvelope:], nil
 	case recTagCatalog:
 		if len(all) < 2 || all[1].Kind != catalog.KindBitmap {
 			return 0, 0, "", "", nil, fmt.Errorf("%w: bad catalog envelope", ErrCorrupt)

@@ -37,14 +37,13 @@ type SchemaInfo struct {
 	Parents map[string]string
 }
 
-// ClassInfo is the result of Get_Class: class metadata plus its extension.
+// ClassInfo is the result of Get_Class: the class metadata. The extension
+// itself is read separately (Shapes, ShapesInWindow, Select).
 type ClassInfo struct {
 	Schema string
 	Class  catalog.Class
 	// Attrs are the effective (inherited + own) attributes.
 	Attrs []catalog.Field
-	// OIDs is the class extension in insertion order.
-	OIDs []catalog.OID
 	// GeometryAttr names the spatial attribute shown in the presentation
 	// area, or "" when the class has none.
 	GeometryAttr string
@@ -98,10 +97,7 @@ func (db *DB) GetClass(ctx event.Context, schema, class string) (_ ClassInfo, re
 	if err != nil {
 		return ClassInfo{}, err
 	}
-	db.mu.RLock()
-	oids := append([]catalog.OID(nil), db.byClass[classKey{schema, class}]...)
-	db.mu.RUnlock()
-	info := ClassInfo{Schema: schema, Class: *c, Attrs: attrs, OIDs: oids}
+	info := ClassInfo{Schema: schema, Class: *c, Attrs: attrs}
 	for _, a := range attrs {
 		if a.Type.Kind == catalog.KindGeometry {
 			info.GeometryAttr = a.Name
@@ -198,49 +194,39 @@ func (db *DB) windowScan(schema, class string, window geom.Rect) ([]catalog.OID,
 	return oids, nil
 }
 
-// InstancesInWindow materializes the class instances whose geometry bounds
-// intersect the viewport, in OID order — what a zoomed or panned map
-// displays without touching the rest of the extension. The index search and
+// Shapes returns the shape of every instance of the class that has a
+// geometry, in OID order: what a Class set window draws. Like Select it
+// reads one committed state through a snapshot, taking the read lock per
+// record, but it decodes only each record's envelope and geometry.
+func (db *DB) Shapes(schema, class string) ([]Shape, error) {
+	snap := db.BeginSnapshot()
+	defer snap.Close()
+	return snap.shapes(schema, class)
+}
+
+// ShapesInWindow returns the shapes of the class instances whose geometry
+// bounds intersect the viewport, in OID order — what a zoomed or panned map
+// draws without touching the rest of the extension. The index search and
 // each read take the read lock separately, so an instance deleted between
-// them is left out rather than failing the whole window.
-func (db *DB) InstancesInWindow(schema, class string, window geom.Rect) ([]Instance, error) {
+// them is left out rather than failing the whole window. It opens no
+// snapshot, so writers keep no undo versions for it.
+func (db *DB) ShapesInWindow(schema, class string, window geom.Rect) ([]Shape, error) {
 	oids, err := db.Window(schema, class, window)
 	if err != nil {
 		return nil, err
 	}
 	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	out := make([]Instance, 0, len(oids))
+	out := make([]Shape, 0, len(oids))
 	for _, oid := range oids {
-		in, err := db.lookup(oid)
+		g, err := db.shape(oid)
 		if errors.Is(err, ErrNoInstance) {
 			continue // deleted since the index search
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, in)
-	}
-	return out, nil
-}
-
-// WindowExact refines Window with the exact geometry predicate: the window
-// rectangle must intersect the geometry itself, not only its bounds.
-func (db *DB) WindowExact(schema, class string, window geom.Rect) ([]catalog.OID, error) {
-	cands, err := db.Window(schema, class, window)
-	if err != nil {
-		return nil, err
-	}
-	var out []catalog.OID
-	for _, oid := range cands {
-		in, err := db.lookup(oid)
-		if errors.Is(err, ErrNoInstance) {
-			continue // deleted since the candidate search
-		}
-		if err != nil {
-			return nil, err
-		}
-		if g, ok := in.Geometry(); ok && geom.Intersects(g, window) {
-			out = append(out, oid)
+		if g != nil {
+			out = append(out, Shape{OID: oid, Geom: g})
 		}
 	}
 	return out, nil
@@ -263,72 +249,6 @@ func (db *DB) Nearest(schema, class string, p geom.Point, k int) ([]catalog.OID,
 		oids[i] = catalog.OID(id)
 	}
 	return oids, nil
-}
-
-// RelateQuery returns instances of the class whose geometry stands in the
-// given topological relation to the probe polygon (bounding-box prefilter
-// through the R-tree, exact polygon relation after). It powers both the
-// analysis mode and the topological-constraint subsystem.
-func (db *DB) RelateQuery(schema, class string, probe geom.Polygon, rel geom.Relation) ([]catalog.OID, error) {
-	// Disjoint cannot be prefiltered by the index; fall back to scanning.
-	var cands []catalog.OID
-	var err error
-	if rel == geom.Disjoint {
-		instances, serr := db.Select(schema, class, nil)
-		if serr != nil {
-			return nil, serr
-		}
-		for _, in := range instances {
-			cands = append(cands, in.OID)
-		}
-	} else {
-		cands, err = db.Window(schema, class, probe.Bounds())
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []catalog.OID
-	for _, oid := range cands {
-		in, err := db.lookup(oid)
-		if errors.Is(err, ErrNoInstance) {
-			continue // deleted since the candidate search
-		}
-		if err != nil {
-			return nil, err
-		}
-		g, ok := in.Geometry()
-		if !ok {
-			continue
-		}
-		var got geom.Relation
-		switch gg := g.(type) {
-		case geom.Polygon:
-			got = geom.Relate(gg, probe)
-		case geom.Rect:
-			got = geom.Relate(gg.AsPolygon(), probe)
-		case geom.Point:
-			// Points only admit disjoint/inside/meet vs a region.
-			switch geom.PointInPolygon(gg, probe) {
-			case 1:
-				got = geom.Inside
-			case 0:
-				got = geom.Meet
-			default:
-				got = geom.Disjoint
-			}
-		default:
-			// Lines: approximate with intersects → overlap, else disjoint.
-			if geom.Intersects(g, probe) {
-				got = geom.Overlap
-			} else {
-				got = geom.Disjoint
-			}
-		}
-		if got == rel {
-			out = append(out, oid)
-		}
-	}
-	return out, nil
 }
 
 // Stats summarizes the database for dashboards and the gisbench report.

@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
+	"repro/internal/geom"
 )
 
 // undoVersion is one retained pre-state: in was the current state of its
@@ -139,24 +140,63 @@ func (s *Snapshot) Get(oid catalog.OID) (Instance, error) {
 }
 
 func (s *Snapshot) getLocked(oid catalog.OID) (Instance, error) {
+	v, err := s.versionLocked(oid)
+	if err != nil {
+		return Instance{}, err
+	}
+	if v != nil {
+		return cloneInstance(*v), nil
+	}
+	return s.db.lookupLocked(oid)
+}
+
+// versionLocked resolves oid at the snapshot's sequence: the retained
+// version it would have read, or nil when the current record is that state.
+// ErrNoInstance means the OID did not exist at the sequence. Callers hold
+// db.mu.
+func (s *Snapshot) versionLocked(oid catalog.OID) (*Instance, error) {
 	db := s.db
 	// Versions are appended in superseded order: the first one still alive
 	// past our sequence is the state we would have read.
-	for _, v := range db.undo[oid] {
-		if v.superseded > s.seq {
-			if v.born <= s.seq {
-				return cloneInstance(v.in), nil
+	vers := db.undo[oid]
+	for i := range vers {
+		if vers[i].superseded > s.seq {
+			if vers[i].born <= s.seq {
+				return &vers[i].in, nil
 			}
 			// The oid's whole retained history starts after us: it did not
 			// exist at our sequence.
-			return Instance{}, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
+			return nil, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
 		}
 	}
 	meta, ok := db.instances[oid]
 	if !ok || meta.born > s.seq {
-		return Instance{}, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
+		return nil, fmt.Errorf("%w: oid %d", ErrNoInstance, oid)
 	}
-	return db.lookupLocked(oid)
+	return nil, nil
+}
+
+// shape reads oid's geometry as of the snapshot, nil when it has none or is
+// not an instance of schema.class.
+func (s *Snapshot) shape(oid catalog.OID, schema, class string) (geom.Geometry, error) {
+	db := s.db
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	v, err := s.versionLocked(oid)
+	if err != nil {
+		return nil, err
+	}
+	if v != nil {
+		if v.Schema != schema || v.Class != class {
+			return nil, nil
+		}
+		g, _ := v.Geometry()
+		return g, nil
+	}
+	if meta := db.instances[oid]; meta.schema != schema || meta.class != class {
+		return nil, nil
+	}
+	return db.shapeLocked(oid)
 }
 
 // cloneInstance detaches a retained version from the store so callers may
@@ -173,6 +213,49 @@ func cloneInstance(in Instance) Instance {
 // for the scan: writers commit freely mid-scan and the result is still the
 // single consistent state the snapshot pinned.
 func (s *Snapshot) Select(schema, class string, pred Predicate) ([]Instance, error) {
+	oids := s.extension(schema, class)
+	out := make([]Instance, 0, len(oids))
+	for _, oid := range oids {
+		in, err := s.Get(oid)
+		if err != nil {
+			if errors.Is(err, ErrNoInstance) {
+				continue // not visible at this sequence
+			}
+			return nil, err
+		}
+		if in.Schema != schema || in.Class != class {
+			continue
+		}
+		if pred == nil || pred(in) {
+			out = append(out, in)
+		}
+	}
+	return out, nil
+}
+
+// shapes is Shapes at the snapshot's sequence.
+func (s *Snapshot) shapes(schema, class string) ([]Shape, error) {
+	oids := s.extension(schema, class)
+	out := make([]Shape, 0, len(oids))
+	for _, oid := range oids {
+		g, err := s.shape(oid, schema, class)
+		if errors.Is(err, ErrNoInstance) {
+			continue // not visible at this sequence
+		}
+		if err != nil {
+			return nil, err
+		}
+		if g != nil {
+			out = append(out, Shape{OID: oid, Geom: g})
+		}
+	}
+	return out, nil
+}
+
+// extension lists, in OID order, the OIDs that may belong to the class at
+// the snapshot: its current extension plus the OIDs whose retained versions
+// are of the class. Reads resolve each against the snapshot's sequence.
+func (s *Snapshot) extension(schema, class string) []catalog.OID {
 	db := s.db
 	key := classKey{schema, class}
 	db.mu.RLock()
@@ -198,23 +281,7 @@ func (s *Snapshot) Select(schema, class string, pred Predicate) ([]Instance, err
 	}
 	db.mu.RUnlock()
 	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	out := make([]Instance, 0, len(oids))
-	for _, oid := range oids {
-		in, err := s.Get(oid)
-		if err != nil {
-			if errors.Is(err, ErrNoInstance) {
-				continue // not visible at this sequence
-			}
-			return nil, err
-		}
-		if in.Schema != schema || in.Class != class {
-			continue
-		}
-		if pred == nil || pred(in) {
-			out = append(out, in)
-		}
-	}
-	return out, nil
+	return oids
 }
 
 // Count reports the class extension size visible at the snapshot.

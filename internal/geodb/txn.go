@@ -100,8 +100,8 @@ func (t *Txn) current(oid catalog.OID) (Instance, error) {
 // Geometries implements event.View: the committed instances of schema.class
 // whose geometry bounds intersect window, except those the transaction has
 // deleted or rewritten, plus the transaction's own inserts and updates that
-// intersect window. Each read takes the read lock on its own, as
-// InstancesInWindow's do.
+// intersect window. Each read takes the read lock on its own and decodes
+// only the record's envelope and geometry, as ShapesInWindow's do.
 func (t *Txn) Geometries(schema, class string, window geom.Rect, fn func(catalog.OID, geom.Geometry)) error {
 	oids, err := t.db.Window(schema, class, window)
 	if err != nil {
@@ -111,14 +111,14 @@ func (t *Txn) Geometries(schema, class string, window geom.Rect, fn func(catalog
 		if t.latest(oid, len(t.ops)) >= 0 {
 			continue // the transaction's own state stands in for it below
 		}
-		in, err := t.db.lookup(oid)
+		g, err := t.db.shape(oid)
 		if errors.Is(err, ErrNoInstance) {
 			continue // deleted since the index search
 		}
 		if err != nil {
 			return err
 		}
-		if g, ok := in.Geometry(); ok {
+		if g != nil {
 			fn(oid, g)
 		}
 	}

@@ -103,21 +103,21 @@ func (u *UI) poleManagerSchemaWindow(info geodb.SchemaInfo) *uikit.Widget {
 }
 
 // ClassWindow builds the class window for the variant.
-func (u *UI) ClassWindow(info geodb.ClassInfo, instances []geodb.Instance) (*uikit.Widget, error) {
+func (u *UI) ClassWindow(info geodb.ClassInfo, shapes []geodb.Shape) (*uikit.Widget, error) {
 	switch u.variant {
 	case VariantGeneric:
-		return u.genericClassWindow(info, instances), nil
+		return u.genericClassWindow(info, shapes), nil
 	case VariantPoleManager:
 		if info.Class.Name == "Pole" {
-			return u.poleManagerClassWindow(info, instances), nil
+			return u.poleManagerClassWindow(info, shapes), nil
 		}
-		return u.genericClassWindow(info, instances), nil
+		return u.genericClassWindow(info, shapes), nil
 	default:
 		return nil, fmt.Errorf("hardwired: unknown variant %v", u.variant)
 	}
 }
 
-func (u *UI) genericClassWindow(info geodb.ClassInfo, instances []geodb.Instance) *uikit.Widget {
+func (u *UI) genericClassWindow(info geodb.ClassInfo, shapes []geodb.Shape) *uikit.Widget {
 	win := uikit.New(uikit.KindWindow, "classset:"+info.Class.Name)
 	win.SetProp("title", "Class set "+info.Class.Name)
 	win.SetProp("window_type", "Class set")
@@ -136,15 +136,11 @@ func (u *UI) genericClassWindow(info geodb.ClassInfo, instances []geodb.Instance
 	}
 	control.Add(schemaList)
 	area := uikit.New(uikit.KindDrawingArea, "map")
-	for _, in := range instances {
-		g, ok := in.Geometry()
-		if !ok {
-			continue
-		}
+	for _, sh := range shapes {
 		area.Shapes = append(area.Shapes, uikit.Shape{
-			OID:    uint64(in.OID),
-			Geom:   g,
-			Label:  fmt.Sprintf("%s-%d", strings.ToLower(info.Class.Name), in.OID),
+			OID:    uint64(sh.OID),
+			Geom:   sh.Geom,
+			Label:  fmt.Sprintf("%s-%d", strings.ToLower(info.Class.Name), sh.OID),
 			Format: "pointFormat",
 		})
 	}
@@ -152,7 +148,7 @@ func (u *UI) genericClassWindow(info geodb.ClassInfo, instances []geodb.Instance
 	return win
 }
 
-func (u *UI) poleManagerClassWindow(info geodb.ClassInfo, instances []geodb.Instance) *uikit.Widget {
+func (u *UI) poleManagerClassWindow(info geodb.ClassInfo, shapes []geodb.Shape) *uikit.Widget {
 	// Duplicated from genericClassWindow with the pole-manager deltas
 	// hand-applied — the maintenance burden §1 describes.
 	win := uikit.New(uikit.KindWindow, "classset:"+info.Class.Name)
@@ -174,15 +170,11 @@ func (u *UI) poleManagerClassWindow(info geodb.ClassInfo, instances []geodb.Inst
 	}
 	control.Add(schemaList)
 	area := uikit.New(uikit.KindDrawingArea, "map")
-	for _, in := range instances {
-		g, ok := in.Geometry()
-		if !ok {
-			continue
-		}
+	for _, sh := range shapes {
 		area.Shapes = append(area.Shapes, uikit.Shape{
-			OID:    uint64(in.OID),
-			Geom:   g,
-			Label:  fmt.Sprintf("pole-%d", in.OID),
+			OID:    uint64(sh.OID),
+			Geom:   sh.Geom,
+			Label:  fmt.Sprintf("pole-%d", sh.OID),
 			Format: "pointFormat",
 		})
 	}

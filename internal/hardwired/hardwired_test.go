@@ -45,8 +45,8 @@ func TestGenericVariantMatchesDefaultShape(t *testing.T) {
 		t.Fatalf("generic schema window: %+v", win.Find("classes"))
 	}
 	cinfo, _ := db.GetClass(ctx, workload.SchemaName, "Pole")
-	instances, _ := db.Select(workload.SchemaName, "Pole", nil)
-	cwin, err := u.ClassWindow(cinfo, instances)
+	shapes, _ := db.Shapes(workload.SchemaName, "Pole")
+	cwin, err := u.ClassWindow(cinfo, shapes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestPoleManagerVariantMatchesFigure7(t *testing.T) {
 		t.Fatal("pole-manager schema window must be hidden")
 	}
 	cinfo, _ := db.GetClass(ctx, workload.SchemaName, "Pole")
-	instances, _ := db.Select(workload.SchemaName, "Pole", nil)
-	cwin, _ := u.ClassWindow(cinfo, instances)
+	shapes, _ := db.Shapes(workload.SchemaName, "Pole")
+	cwin, _ := u.ClassWindow(cinfo, shapes)
 	if cwin.Find("poleWidget") == nil || cwin.Find("poleWidget").Kind != uikit.KindSlider {
 		t.Fatal("hand-coded slider missing")
 	}
@@ -103,8 +103,8 @@ func TestPoleManagerVariantMatchesFigure7(t *testing.T) {
 	}
 	// Non-Pole classes fall back to the generic code path.
 	dinfo, _ := db.GetClass(ctx, workload.SchemaName, "Duct")
-	dinst, _ := db.Select(workload.SchemaName, "Duct", nil)
-	dwin, _ := u.ClassWindow(dinfo, dinst)
+	dshapes, _ := db.Shapes(workload.SchemaName, "Duct")
+	dwin, _ := u.ClassWindow(dinfo, dshapes)
 	if dwin.Find("class_widget") == nil {
 		t.Fatal("non-Pole class should use the generic window")
 	}

@@ -177,14 +177,21 @@ type SchemaInfo struct {
 	Parents map[string]string `json:"parents"`
 }
 
-// ClassData mirrors ui.ClassData on the wire.
+// ClassData mirrors ui.ClassData on the wire: the class metadata once, then
+// one shape per drawn instance. Attribute values never travel with it;
+// get_value fetches them per instance.
 type ClassData struct {
 	Schema       string          `json:"schema"`
 	Class        catalog.Class   `json:"class_def"`
 	Attrs        []catalog.Field `json:"attrs"`
-	OIDs         []catalog.OID   `json:"oids"`
 	GeometryAttr string          `json:"geometry_attr,omitempty"`
-	Instances    []Instance      `json:"instances"`
+	Shapes       []Shape         `json:"shapes"`
+}
+
+// Shape mirrors geodb.Shape on the wire: the geometry travels as WKT.
+type Shape struct {
+	OID catalog.OID `json:"oid"`
+	WKT string      `json:"g"`
 }
 
 // Instance mirrors geodb.Instance on the wire.
@@ -351,6 +358,28 @@ func DecodeInstance(in Instance) (geodb.Instance, error) {
 		Attrs:  in.Attrs,
 		Values: values,
 	}, nil
+}
+
+// EncodeShapes converts shapes to wire form.
+func EncodeShapes(shapes []geodb.Shape) []Shape {
+	out := make([]Shape, len(shapes))
+	for i, sh := range shapes {
+		out[i] = Shape{OID: sh.OID, WKT: sh.Geom.WKT()}
+	}
+	return out
+}
+
+// DecodeShapes converts wire shapes back.
+func DecodeShapes(ws []Shape) ([]geodb.Shape, error) {
+	out := make([]geodb.Shape, len(ws))
+	for i, w := range ws {
+		g, err := geom.ParseWKT(w.WKT)
+		if err != nil {
+			return nil, fmt.Errorf("proto: shape of oid %d: %w", w.OID, err)
+		}
+		out[i] = geodb.Shape{OID: w.OID, Geom: g}
+	}
+	return out, nil
 }
 
 // EncodeFilters converts filters to wire form.

@@ -111,13 +111,15 @@ func waitConverged(t testing.TB, r *Replica, p *Primary) {
 }
 
 // replicaCount reads the class extension size through the replica's public
-// Backend face; -1 while the replica is unavailable.
+// Backend face; -1 while the replica is unavailable. Stations have no
+// geometry, so a Get_Class reply draws none: the extension comes from an
+// analysis-mode select.
 func replicaCount(r *Replica) int {
-	data, _, err := r.GetClass(testCtx, "net", "Station")
+	stations, err := r.SelectWhere(testCtx, "net", "Station", nil)
 	if err != nil {
 		return -1
 	}
-	return len(data.Instances)
+	return len(stations)
 }
 
 // TestReplicaConvergesAndServes: the basic ship → apply → serve loop. A
@@ -137,11 +139,14 @@ func TestReplicaConvergesAndServes(t *testing.T) {
 		t.Fatalf("replica serves %d instances, want 20", n)
 	}
 	// GetValue sees a specific instance.
-	data, _, err := r.GetClass(testCtx, "net", "Station")
+	if _, _, err := r.GetClass(testCtx, "net", "Station"); err != nil {
+		t.Fatal(err)
+	}
+	stations, err := r.SelectWhere(testCtx, "net", "Station", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, _, err := r.GetValue(testCtx, data.Info.OIDs[0])
+	in, _, err := r.GetValue(testCtx, stations[0].OID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestReplicaConvergesAndServes(t *testing.T) {
 		t.Fatal("empty instance from replica")
 	}
 	// Mutations are refused and point at the primary.
-	if _, err := r.CallMethod(data.Info.OIDs[0], "boom"); err == nil {
+	if _, err := r.CallMethod(stations[0].OID, "boom"); err == nil {
 		t.Fatal("replica accepted call_method")
 	}
 

@@ -170,13 +170,13 @@ func TestReplicaPrefixConsistencyConcurrentWriters(t *testing.T) {
 	lastSeen := [writers]int{}
 	polls := 0
 	for running.Load() > 0 {
-		data, _, err := r.GetClass(testCtx, "net", "Station")
+		stations, err := r.SelectWhere(testCtx, "net", "Station", nil)
 		if err != nil {
 			continue
 		}
 		polls++
 		loads := map[catalog.OID]int{}
-		for _, in := range data.Instances {
+		for _, in := range stations {
 			if v, ok := in.Get("load"); ok {
 				loads[in.OID] = int(v.Int)
 			}
@@ -205,11 +205,11 @@ func TestReplicaPrefixConsistencyConcurrentWriters(t *testing.T) {
 	t.Logf("audited %d served states during the write storm", polls)
 
 	waitConverged(t, r, p)
-	data, _, err := r.GetClass(testCtx, "net", "Station")
+	stations, err := r.SelectWhere(testCtx, "net", "Station", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range data.Instances {
+	for _, in := range stations {
 		if v, ok := in.Get("load"); !ok || v.Int != txnsPer {
 			t.Fatalf("converged replica: oid %d at load %v, want %d", in.OID, v.Int, txnsPer)
 		}

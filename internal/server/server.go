@@ -509,21 +509,13 @@ func (s *Server) handle(req proto.Request) (resp proto.Response) {
 		if err != nil {
 			return fail(err)
 		}
-		wire := proto.ClassData{
+		resp.Class = &proto.ClassData{
 			Schema:       data.Info.Schema,
 			Class:        data.Info.Class,
 			Attrs:        data.Info.Attrs,
-			OIDs:         data.Info.OIDs,
 			GeometryAttr: data.Info.GeometryAttr,
+			Shapes:       proto.EncodeShapes(data.Instances),
 		}
-		for _, in := range data.Instances {
-			wi, err := proto.EncodeInstance(in)
-			if err != nil {
-				return fail(err)
-			}
-			wire.Instances = append(wire.Instances, wi)
-		}
-		resp.Class = &wire
 		resp.Cust = cust
 	case proto.OpGetValue:
 		in, cust, err := s.backend.GetValue(req.Ctx, req.OID)

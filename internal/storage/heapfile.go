@@ -21,8 +21,11 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 var ErrTombstone = errors.New("storage: record deleted")
 
 // HeapFile stores variable-length records in slotted pages behind a buffer
-// pool. A trivial free-space map (last page with room, then linear probe)
-// keeps inserts cheap for the append-mostly loads the GIS generates.
+// pool. Its free-space map is one candidate page: an insert tries it, then
+// the last page, then allocates a new page. A successful insert or delete
+// makes its page the candidate, so appends fill the last page and churn —
+// inserts beside deletes — reuses the room deletes free instead of growing
+// the file.
 type HeapFile struct {
 	mu   sync.Mutex
 	pool *BufferPool
@@ -123,7 +126,8 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	return out, nil
 }
 
-// Delete removes the record at rid.
+// Delete removes the record at rid and makes its page the next insert's
+// candidate.
 func (h *HeapFile) Delete(rid RID) error {
 	page, err := h.pool.Fetch(rid.Page)
 	if err != nil {
@@ -132,6 +136,11 @@ func (h *HeapFile) Delete(rid RID) error {
 	err = page.DeleteRecord(int(rid.Slot))
 	if uerr := h.pool.Unpin(rid.Page, err == nil); uerr != nil && err == nil {
 		err = uerr
+	}
+	if err == nil {
+		h.mu.Lock()
+		h.candidate, h.haveCand = rid.Page, true
+		h.mu.Unlock()
 	}
 	return err
 }

@@ -587,6 +587,39 @@ func TestHeapFileUpdate(t *testing.T) {
 	}
 }
 
+// TestHeapFileChurnReusesFreedRoom: constant-size records inserted beside
+// deletes of the oldest keep the live set constant, so the file must stay
+// at its size — each insert lands in the room a delete freed.
+func TestHeapFileChurnReusesFreedRoom(t *testing.T) {
+	h := NewHeapFile(newTestPool(8, PolicyLRU))
+	record := bytes.Repeat([]byte("r"), 200)
+	var live []RID
+	for i := 0; i < 100; i++ {
+		rid, err := h.Insert(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, rid)
+	}
+	start := h.Pool().NumPages()
+	for i := 0; i < 1000; i++ {
+		rid, err := h.Insert(record)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Delete(live[0]); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live[1:], rid)
+	}
+	if end := h.Pool().NumPages(); end > start+1 {
+		t.Fatalf("constant live set grew the file from %d to %d pages", start, end)
+	}
+	if n, err := h.Len(); err != nil || n != len(live) {
+		t.Fatalf("live records = %d, %v; want %d", n, err, len(live))
+	}
+}
+
 func TestHeapFileRejectsOversize(t *testing.T) {
 	h := NewHeapFile(newTestPool(8, PolicyLRU))
 	if _, err := h.Insert(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooLarge) {

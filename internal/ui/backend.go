@@ -20,11 +20,13 @@ import (
 )
 
 // ClassData is the payload a Get_Class interaction needs: the class
-// metadata plus the materialized extension for the presentation area.
+// metadata plus what the presentation area draws of the extension.
 type ClassData struct {
 	Info geodb.ClassInfo
-	// Instances is the extension (or the requested window of it).
-	Instances []geodb.Instance
+	// Instances holds one shape per instance of the extension (or of the
+	// requested window of it) that has a geometry, in OID order. Attribute
+	// values stay in the database: Get_Value reads them per instance.
+	Instances []geodb.Shape
 }
 
 // Backend is the UI's view of the geographic DBMS. Every retrieval returns
@@ -36,12 +38,12 @@ type Backend interface {
 	Connect(ctx event.Context) error
 	// GetSchema performs the Get_Schema primitive.
 	GetSchema(ctx event.Context, schema string) (geodb.SchemaInfo, *spec.Customization, error)
-	// GetClass performs the Get_Class primitive and materializes the
-	// extension.
+	// GetClass performs the Get_Class primitive and reads the shapes of
+	// the extension.
 	GetClass(ctx event.Context, schema, class string) (ClassData, *spec.Customization, error)
 	// GetClassWindowed is GetClass restricted to a viewport: only
-	// instances whose geometry intersects the window are materialized
-	// (the map pan/zoom path; served by the spatial index).
+	// instances whose geometry intersects the window are read (the map
+	// pan/zoom path; served by the spatial index).
 	GetClassWindowed(ctx event.Context, schema, class string, window geom.Rect) (ClassData, *spec.Customization, error)
 	// GetValue performs the Get_Value primitive.
 	GetValue(ctx event.Context, oid catalog.OID) (geodb.Instance, *spec.Customization, error)
@@ -96,11 +98,11 @@ func (b *DirectBackend) GetClass(ctx event.Context, schema, class string) (Class
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	instances, err := b.DB.Select(schema, class, nil)
+	shapes, err := b.DB.Shapes(schema, class)
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	return ClassData{Info: info, Instances: instances}, selected(&sel), nil
+	return ClassData{Info: info, Instances: shapes}, selected(&sel), nil
 }
 
 // GetClassWindowed implements Backend.
@@ -111,11 +113,11 @@ func (b *DirectBackend) GetClassWindowed(ctx event.Context, schema, class string
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	instances, err := b.DB.InstancesInWindow(schema, class, window)
+	shapes, err := b.DB.ShapesInWindow(schema, class, window)
 	if err != nil {
 		return ClassData{}, nil, err
 	}
-	return ClassData{Info: info, Instances: instances}, selected(&sel), nil
+	return ClassData{Info: info, Instances: shapes}, selected(&sel), nil
 }
 
 // GetValue implements Backend.

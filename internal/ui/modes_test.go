@@ -118,6 +118,48 @@ func TestScenarioLifecycle(t *testing.T) {
 	}
 }
 
+// TestScenarioLocatesUndrawnInstance: a Class set reply leaves out an
+// instance without geometry, so a scenario update that gives it one must
+// still put it on the scenario's map, in OID order, while an update of
+// another class's instance stays off it.
+func TestScenarioLocatesUndrawnInstance(t *testing.T) {
+	w := newWorld(t, false)
+	unlocated, err := w.db.InsertMap(mariaCtx(), "phone_net", "Pole", map[string]catalog.Value{
+		"pole_type": catalog.IntVal(3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(w.backend, w.builder, mariaCtx())
+	s.Connect()
+	s.StartScenario("locate")
+	if err := s.ScenarioUpdate(unlocated, poleValues(t, w, 7, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ScenarioUpdate(w.poles[0], poleValues(t, w, 999, 999)); err != nil {
+		t.Fatal(err)
+	}
+	win, err := s.OpenClassSimulated("phone_net", "Pole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := win.Find("map").Shapes
+	if len(shapes) != len(w.poles)+1 {
+		t.Fatalf("scenario shapes = %d, want %d", len(shapes), len(w.poles)+1)
+	}
+	last := shapes[len(shapes)-1]
+	if last.OID != uint64(unlocated) || last.Geom.WKT() != "POINT (7 7)" {
+		t.Fatalf("last shape = %d %v, want the located pole %d at (7 7)", last.OID, last.Geom, unlocated)
+	}
+	dwin, err := s.OpenClassSimulated("phone_net", "Duct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dwin.Find("map").Shapes); n != 0 {
+		t.Fatalf("a pole update drew %d shapes on the Duct map", n)
+	}
+}
+
 func TestScenarioUpdateDeleteHypothetical(t *testing.T) {
 	w := newWorld(t, false)
 	s := NewSession(w.backend, w.builder, mariaCtx())

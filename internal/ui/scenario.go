@@ -1,6 +1,7 @@
 package ui
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -144,34 +145,68 @@ func (s *Session) ScenarioDelete(oid catalog.OID) error {
 	return nil
 }
 
-// applyScenario merges the scenario over the real extension of a class.
-func (s *Session) applyScenario(data ClassData) ClassData {
-	if s.scenario == nil {
-		return data
+// applyScenario merges the scenario's hypothetical geometries over a class
+// reply, in the order the window draws them: real instances in OID order,
+// then the class's hypothetical inserts in creation order. A deleted
+// instance drops out, and an updated one takes the geometry of its new
+// values, or drops out when they hold none. An update can also locate a
+// real instance the reply left out because it had no geometry; the reply
+// does not say which class such an instance belongs to, so the class's
+// extension is selected when that happens.
+func (s *Session) applyScenario(ctx event.Context, data ClassData) (ClassData, error) {
+	sc := s.scenario
+	attrs := data.Info.Attrs
+	shapeOf := func(oid catalog.OID, values []catalog.Value) (geodb.Shape, bool) {
+		if len(values) != len(attrs) {
+			return geodb.Shape{}, false // not values of this class
+		}
+		return geodb.Instance{OID: oid, Attrs: attrs, Values: values}.Shape()
 	}
 	out := ClassData{Info: data.Info}
-	for _, in := range data.Instances {
-		if s.scenario.deleted[in.OID] {
+	drawn := make(map[catalog.OID]bool, len(data.Instances))
+	for _, sh := range data.Instances {
+		drawn[sh.OID] = true
+		if sc.deleted[sh.OID] {
 			continue
 		}
-		if values, ok := s.scenario.updated[in.OID]; ok {
-			in.Values = values
+		if values, ok := sc.updated[sh.OID]; ok {
+			if sh, ok = shapeOf(sh.OID, values); !ok {
+				continue
+			}
 		}
-		out.Instances = append(out.Instances, in)
+		out.Instances = append(out.Instances, sh)
 	}
-	for _, add := range s.scenario.added {
+	var located []geodb.Shape
+	for oid, values := range sc.updated {
+		if sh, ok := shapeOf(oid, values); ok && !drawn[oid] {
+			located = append(located, sh)
+		}
+	}
+	if len(located) > 0 {
+		extension, err := s.backend.SelectWhere(ctx, data.Info.Schema, data.Info.Class.Name, nil)
+		if err != nil {
+			return ClassData{}, err
+		}
+		member := make(map[catalog.OID]bool, len(extension))
+		for _, in := range extension {
+			member[in.OID] = true
+		}
+		for _, sh := range located {
+			if member[sh.OID] {
+				out.Instances = append(out.Instances, sh)
+			}
+		}
+		slices.SortFunc(out.Instances, func(a, b geodb.Shape) int { return cmp.Compare(a.OID, b.OID) })
+	}
+	for _, add := range sc.added {
 		if add.schema != data.Info.Schema || add.class != data.Info.Class.Name {
 			continue
 		}
-		out.Instances = append(out.Instances, geodb.Instance{
-			OID:    add.oid,
-			Schema: add.schema,
-			Class:  add.class,
-			Attrs:  data.Info.Attrs,
-			Values: add.values,
-		})
+		if sh, ok := shapeOf(add.oid, add.values); ok {
+			out.Instances = append(out.Instances, sh)
+		}
 	}
-	return out
+	return out, nil
 }
 
 // CommitScenario submits the workspace through the backend's TxnMutator as
@@ -242,7 +277,10 @@ func (s *Session) OpenClassSimulated(schema, class string) (_ *uikit.Widget, rer
 	if err != nil {
 		return nil, err
 	}
-	merged := s.applyScenario(data)
+	merged, err := s.applyScenario(ctx, data)
+	if err != nil {
+		return nil, err
+	}
 	var cc *spec.ClassCust
 	if cust != nil && cust.Level == spec.LevelClass {
 		cc = &cust.Class
@@ -256,7 +294,7 @@ func (s *Session) OpenClassSimulated(schema, class string) (_ *uikit.Widget, rer
 	win.SetProp("scenario", s.scenario.Name)
 	win.SetProp("schema", schema)
 	s.addWindow(win, "schema:"+schema)
-	s.tracef("scenario window %q built (%d instances incl. hypothetical)",
+	s.tracef("scenario window %q built (%d shapes incl. hypothetical)",
 		win.Name, len(merged.Instances))
 	return win, nil
 }

@@ -286,13 +286,18 @@ func (s *Session) Analyze(schema, class string, filters []geodb.Filter) (_ *uiki
 	if err != nil {
 		return nil, err
 	}
-	s.tracef("Analyze(%s): %d of %d instances match %d filters",
-		class, len(kept), len(data.Instances), len(filters))
+	s.tracef("Analyze(%s): %d instances match %d filters", class, len(kept), len(filters))
 	var cc *spec.ClassCust
 	if cust != nil && cust.Level == spec.LevelClass {
 		cc = &cust.Class
 	}
-	win, err := s.builder.BuildClassWindow(data.Info, kept, cc)
+	shapes := make([]geodb.Shape, 0, len(kept))
+	for _, in := range kept {
+		if sh, ok := in.Shape(); ok {
+			shapes = append(shapes, sh)
+		}
+	}
+	win, err := s.builder.BuildClassWindow(data.Info, shapes, cc)
 	if err != nil {
 		return nil, err
 	}
